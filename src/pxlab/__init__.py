@@ -24,8 +24,8 @@ from .inequality import (EqualityDiagnosis, IntegralGap, ScalarIneqCase,
 from .path import (BetaScan, PathContext, assert_admissible_jet, beta_scan,
                    default_thetas, energy_J, make_path, path_jets)
 from .solver import (SolveConfig, SolveResult, discrete_energy,
-                     discrete_residual, minimize, residual_norm,
-                     synthetic_image, uniqueness_experiment,
+                     discrete_hessian, discrete_residual, minimize,
+                     residual_norm, synthetic_image, uniqueness_experiment,
                      verify_weak_solution)
 
 __version__ = "0.1.0"

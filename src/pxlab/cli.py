@@ -195,12 +195,10 @@ def _solver_config(cfg: dict, fam, src, grid, init) -> SolveConfig:
             fam=fam, src=src, grid=grid, init=init,
             residual_tol=float(s.get("tol", 1e-8)),
             max_iters=int(s.get("max_iters", 50_000)),
-            step0=float(s.get("step", 1.0)),
         )
     except ValueError as e:
         raise ConfigError(f"bad solver spec: {e}") from e
-    cfg["solver"] = {"tol": scfg.residual_tol, "max_iters": scfg.max_iters,
-                     "step": scfg.step0}
+    cfg["solver"] = {"tol": scfg.residual_tol, "max_iters": scfg.max_iters}
     return scfg
 
 

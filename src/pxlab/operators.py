@@ -123,6 +123,17 @@ class OperatorFamily:
             out[pos] = self._phi(s[pos], idx[pos]) / s[pos]
         return out
 
+    def phi_prime(self, s, points=None):
+        """The s-derivative of Phi(x_i, s) at per-point magnitudes s > 0.
+
+        Unbounded as s -> 0 where the profile grows slower than linearly
+        (exponents below 2); callers that need a finite value floor s.
+        """
+        s = np.asarray(s, dtype=float)
+        idx = np.arange(self.npoints) if points is None else np.asarray(points)
+        s, idx = np.broadcast_arrays(s, idx)
+        return self._dphi(s, idx)
+
     # -- flux and primitive ---------------------------------------------
 
     def a_eval(self, point: int, xi) -> np.ndarray:
@@ -157,6 +168,9 @@ class OperatorFamily:
     def _phi(self, s, idx):
         raise NotImplementedError
 
+    def _dphi(self, s, idx):
+        raise NotImplementedError
+
     def _A(self, t, idx, tol):
         raise NotImplementedError
 
@@ -180,6 +194,13 @@ class MultiphaseFamily(OperatorFamily):
         out = np.zeros_like(s)
         for p, w in zip(self.exponents, self.weights):
             out += w[idx] * s ** (p.values[idx] - 1.0)
+        return out
+
+    def _dphi(self, s, idx):
+        out = np.zeros_like(s)
+        for p, w in zip(self.exponents, self.weights):
+            pk = p.values[idx]
+            out += w[idx] * (pk - 1.0) * s ** (pk - 2.0)
         return out
 
     def _A(self, t, idx, tol):
@@ -213,12 +234,33 @@ class ImageFamily(OperatorFamily):
         high = self.eps ** (p - self.alpha) * s ** (self.alpha - 1.0) * logs
         return np.where(s <= self.eps, low, high)
 
+    def _dphi(self, s, idx):
+        # the branches' derivatives differ at s = eps: Phi is only Lipschitz there
+        p = self.p.values[idx]
+        logs = np.log1p(s) ** self.delta
+        dlogs = self.delta * np.log1p(s) ** (self.delta - 1.0) / (1.0 + s)
+        low = (p - 1.0) * s ** (p - 2.0) * logs + s ** (p - 1.0) * dlogs
+        high = self.eps ** (p - self.alpha) * (
+            (self.alpha - 1.0) * s ** (self.alpha - 2.0) * logs
+            + s ** (self.alpha - 1.0) * dlogs)
+        return np.where(s <= self.eps, low, high)
+
     def _A(self, t, idx, tol):
+        # Each integral depends only on its limit and its exponent, so every
+        # distinct (t, p) pair is integrated once and scattered back; the
+        # pairs are complex keys t + ip, which np.unique sorts faster than rows.
+        keys, inverse = np.unique(t.ravel() + 1j * self.p.values[idx].ravel(),
+                                  return_inverse=True)
+        vals = self._A_pairs(np.ascontiguousarray(keys.real),
+                             np.ascontiguousarray(keys.imag), tol)
+        return vals[inverse.ravel()].reshape(t.shape)
+
+    def _A_pairs(self, t, p, tol):
         out = np.zeros_like(t)
         # below the threshold: integrate s^(p-1) ln^delta(1+s) on [0, min(t, eps)]
         lo_hi = np.minimum(t, self.eps)
         def f_low(s, rows):
-            return s ** (self.p.values[idx[rows]] - 1.0) * np.log1p(s) ** self.delta
+            return s ** (p[rows] - 1.0) * np.log1p(s) ** self.delta
         out += _adaptive_simpson_batch(f_low, np.zeros_like(t), lo_hi, tol)
         # above: the x-dependence factors out of the integral
         mask = t > self.eps
@@ -228,7 +270,7 @@ class ImageFamily(OperatorFamily):
             tail = np.zeros_like(t)
             tail[mask] = _adaptive_simpson_batch(
                 f_high, np.full(int(mask.sum()), self.eps), t[mask], tol)
-            out += np.where(mask, self.eps ** (self.p.values[idx] - self.alpha) * tail, 0.0)
+            out += np.where(mask, self.eps ** (p - self.alpha) * tail, 0.0)
         return out
 
 

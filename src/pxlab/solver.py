@@ -2,10 +2,18 @@
 
 The energy is the quadrature of A(x, .) at the stencil gradients minus the
 quadrature of the extended primitive Fbar at the nodal values; its exact
-gradient (assembled through the adjoint stencil) is the discrete residual.
-Minimization is gradient descent with Armijo backtracking; the trial step
-is the safeguarded Barzilai-Borwein choice, which plain fixed trial steps
-cannot match on the stiff reaction-diffusion scaling of fine grids.
+gradient (assembled through the adjoint stencil) is the discrete residual,
+and its Hessian is
+
+    H = D^T diag(w J(D U)) D - diag(w fbar'(U)),
+    J(xi) = psi(s) I + (Phi'(s) - psi(s)) xi xi^T / s^2,   s = |xi|,
+
+with D the stencil gradient, D^T its adjoint and w the quadrature weights.
+Minimization is a matrix-free truncated Newton-CG method (inexact Newton
+with Eisenstat-Walker forcing terms): conjugate gradients on H, applied
+only through Hessian-vector products, give each step, and a line search
+on the energy globalizes it while the predicted decrement is resolvable
+in float64.
 
 No projection onto [0, 1] is performed: the extension Fbar penalizes
 exterior values, and the result reports any violation instead of hiding it.
@@ -26,6 +34,24 @@ from .sources import SourceFamily
 
 STRONG_POSITIVITY_FLOOR = 1e-6
 
+# Floor on gradient magnitudes and nodal values where the Hessian model
+# evaluates psi, Phi' and fbar'; they are unbounded at 0 for exponents
+# below 2 (profiles) and below 1 (power sources).  Only the model sees
+# the floor: every step is certified by the exact energy or residual.
+HESSIAN_FLOOR = 1e-8
+CG_MAX_ITERS = 400
+ETA_MAX = 0.1  # loosest relative residual a CG solve stops at
+SUFFICIENT_DECREASE = 1e-4  # Armijo constant of the energy line search
+MAX_HALVINGS = 40
+# A solve whose best residual has not halved within this many Newton
+# steps has stalled.
+STALL_STEPS = 20
+# Steps never carry a node further out of this band around [0, 1].
+# Solutions lie in [0, 1], and far outside it the concave extension makes
+# the energy unbounded below: an unguarded descent runs off to states
+# whose primitive cannot even be integrated.
+STATE_BAND = (-1.0, 2.0)
+
 
 @dataclass
 class SolveConfig:
@@ -34,23 +60,24 @@ class SolveConfig:
     grid: Grid
     init: object  # GridFunction, ndarray, or constant
     residual_tol: float = 1e-8
-    max_iters: int = 50_000
-    step0: float = 1.0
-    armijo_slope: float = 1e-4
-    backtrack: float = 0.5
-    step_rule: str = "bb"  # "bb" trial step, or "fixed" (doubling carryover)
+    max_iters: int = 50_000  # cap on Newton steps
 
     def __post_init__(self):
         if self.residual_tol <= 0.0:
             raise ValueError("residual_tol must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
-        if self.step_rule not in ("bb", "fixed"):
-            raise ValueError("step_rule must be 'bb' or 'fixed'")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
 
 
 @dataclass
 class SolveResult:
+    """Outcome of :func:`minimize`.
+
+    ``iterations`` counts Newton steps; ``energy_history`` holds the start
+    energy and the energy after each step the line search accepted
+    (nonincreasing); ``note`` says why an unconverged solve stopped.
+    """
+
     U: GridFunction
     energy: float
     residual_norm: float
@@ -91,6 +118,38 @@ def discrete_residual(fam: OperatorFamily, src: SourceFamily, U, grid: Grid) -> 
     return GridFunction(res)
 
 
+def discrete_hessian(fam: OperatorFamily, src: SourceFamily, U, grid: Grid):
+    """The Hessian of the discrete energy at U, as the map v -> H v.
+
+    H = D^T diag(w J(D U)) D - diag(w fbar'(U)) is the exact derivative of
+    :func:`discrete_residual` wherever the gradient magnitudes and the
+    nodal values stay off the floor ``HESSIAN_FLOOR`` (and off the kinks
+    of Phi' and fbar'); it is symmetric by construction.  Vectors are flat
+    arrays over the grid's nodes.
+    """
+    jets = discrete_gradient(U, grid)
+    xi = jets.grads
+    s = jets.grad_norms()
+    sf = np.maximum(s, HESSIAN_FLOOR)
+    psi = fam.psi(sf)
+    unit = np.divide(xi, s[:, None], out=np.zeros_like(xi), where=s[:, None] > 0.0)
+    jac = (psi[:, None, None] * np.eye(grid.dim)
+           + (fam.phi_prime(sf) - psi)[:, None, None] * unit[:, :, None] * unit[:, None, :])
+    jac *= grid.quad_weights[:, None, None]
+    u = jets.values
+    u_f = np.where((u >= 0.0) & (u < HESSIAN_FLOOR), HESSIAN_FLOOR, u)
+    diag = -grid.quad_weights * src.fbar_prime_vals(u_f)
+
+    def apply(v):
+        flux = np.matmul(jac, discrete_gradient(v, grid).grads[:, :, None])[:, :, 0]
+        out = np.zeros(grid.n)
+        for axis in range(grid.dim):
+            out += _centered_diff_adjoint(flux[:, axis].reshape(grid.n), grid.h[axis], axis)
+        return out.ravel() + diag * v.ravel()
+
+    return apply
+
+
 def residual_norm(res, grid: Grid) -> float:
     """Sup norm of the residual against the quadrature measure (|res_k| / w_k),
     which keeps the tolerance meaningful across grid refinements."""
@@ -98,16 +157,51 @@ def residual_norm(res, grid: Grid) -> float:
     return float(np.max(np.abs(vals.ravel()) / grid.quad_weights))
 
 
-def minimize(cfg: SolveConfig) -> SolveResult:
-    """Gradient descent with Armijo backtracking on the discrete energy.
+def _truncated_cg(hvp, g, eta):
+    """Conjugate gradients on H d = -g from d = 0, to relative residual eta.
 
-    The trial step follows the configured rule; each accepted step is
-    Armijo-certified, so the recorded energy history decreases monotonically.
-    Tight residual tolerances can demand energy decrements below float64
-    resolution (one ulp of the energy); once the predicted decrement is no
-    longer representable, acceptance switches to a residual-safeguarded
-    polish whose per-step energy change is below measurement by
-    construction, and the best (lowest-residual) iterate is returned.
+    Stops at the first direction of nonpositive curvature and returns the
+    iterate so far, which is a descent direction; when that happens on the
+    first direction, returns -g scaled by its absolute curvature.
+    """
+    d = np.zeros_like(g)
+    r = -g
+    p = r.copy()
+    rr = float(r @ r)
+    stop = eta * eta * rr
+    for k in range(CG_MAX_ITERS):
+        Hp = hvp(p)
+        curv = float(p @ Hp)
+        if curv <= 0.0:
+            if k == 0:
+                return p * (rr / -curv) if curv < 0.0 else p
+            return d
+        a = rr / curv
+        d += a * p
+        r = r - a * Hp
+        rr_new = float(r @ r)
+        if rr_new <= stop:
+            return d
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return d
+
+
+def minimize(cfg: SolveConfig) -> SolveResult:
+    """Truncated Newton-CG on the discrete energy.
+
+    Each Newton step solves H d = -g by conjugate gradients to the
+    Eisenstat-Walker relative tolerance eta = 0.9 (|g_k| / |g_{k-1}|)^2
+    (their choice 2, capped at ETA_MAX), stopping at negative curvature,
+    which the concave extension of Fbar outside [0, 1] can produce.  No
+    step moves a node further out of STATE_BAND.  While the predicted
+    decrement -g.d exceeds 64 ulp of max(1, |E|), an Armijo line search on
+    the energy (halving the step) accepts it, so the recorded energy
+    history decreases monotonically.  Below that the energy cannot
+    certify a step any more, and full Newton steps are taken as long as
+    they lower the residual sup norm.  The solve stops when the residual
+    meets the tolerance, when the residual stops improving (converged is
+    then False and ``note`` says why), or after ``max_iters`` Newton steps.
     Deterministic: identical configs produce identical iterates.
     """
     grid = cfg.grid
@@ -119,76 +213,76 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         U = np.asarray(cfg.init, dtype=float).ravel().copy()
     if U.shape != (grid.npoints,):
         raise ValueError("initial state does not match the grid")
+    if not np.all(np.isfinite(U)):
+        raise ValueError("initial state contains non-finite values")
 
     energy = lambda u: discrete_energy(cfg.fam, cfg.src, u.reshape(grid.n), grid)
-    resid = lambda u: discrete_residual(cfg.fam, cfg.src, u.reshape(grid.n), grid)
+    resid = lambda u: discrete_residual(cfg.fam, cfg.src, u.reshape(grid.n), grid).values.ravel()
     eps = float(np.finfo(float).eps)
-
-    def bb_step(du, dg, fallback):
-        denom = float(du @ dg)
-        t = float(du @ du) / denom if denom > 0.0 else fallback
-        return min(max(t, 1e-12), 1e12)
 
     E = energy(U)
     history = [E]
-    accepted_steps = []
-    t_prev = cfg.step0
-    U_prev = None
-    g_prev = None
+    g = resid(U)
+    rnorm = residual_norm(g, grid)
+    best, best_at = rnorm, 0
+    gnorm_prev = None
+    energy_phase = True
     note = ""
     iterations = 0
-    rnorm = np.inf
-    polish = False
-    converged_early = False
 
-    while iterations < cfg.max_iters:
-        g = resid(U).values.ravel()
-        rnorm = float(np.max(np.abs(g)) / grid.quad_weights[0])
-        if rnorm <= cfg.residual_tol:
-            converged_early = True
-            break
-        if cfg.step_rule == "bb" and U_prev is not None:
-            t = bb_step(U - U_prev, g - g_prev, 2.0 * t_prev)
-        else:
-            t = cfg.step0 if U_prev is None else 2.0 * t_prev
-        gg = float(g @ g)
-        if cfg.armijo_slope * t * gg < 64.0 * eps * (1.0 + abs(E)):
-            polish = True
-            break
-        accepted = False
-        E_new = E
-        for _bt in range(200):
-            U_new = U - t * g
-            E_new = energy(U_new)
-            if E_new <= E - cfg.armijo_slope * t * gg:
-                accepted = True
-                break
-            t *= cfg.backtrack
-            if t < 1e-18:
-                break
-        if not accepted:
-            polish = True
-            break
-        U_prev, g_prev = U, g
-        U, E = U_new, E_new
-        t_prev = t
-        accepted_steps.append(t)
-        iterations += 1
-        history.append(E)
-
-    if polish:
-        U, rnorm, iterations, note = _residual_polish(
-            cfg, U, resid, iterations, accepted_steps)
-        E = energy(U)
-    elif not converged_early:
-        # budget exhausted: report the final iterate, not the previous one
-        g = resid(U).values.ravel()
-        rnorm = float(np.max(np.abs(g)) / grid.quad_weights[0])
-        if rnorm > cfg.residual_tol:
+    while rnorm > cfg.residual_tol:
+        if iterations >= cfg.max_iters:
             note = "iteration budget exhausted"
+            break
+        if iterations - best_at >= STALL_STEPS:
+            note = f"residual stopped improving (no halving in {STALL_STEPS} Newton steps)"
+            break
+        gnorm = float(np.linalg.norm(g))
+        eta = ETA_MAX if gnorm_prev is None else min(ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
+        # no need to solve the linear model beyond half the tolerance
+        eta = max(eta, 0.5 * cfg.residual_tol * float(grid.quad_weights.min()) / gnorm)
+        hvp = discrete_hessian(cfg.fam, cfg.src, U.reshape(grid.n), grid)
+        d = _truncated_cg(hvp, g, eta)
+        if not np.all(np.isfinite(d)):
+            note = "Newton direction is not finite"
+            break
+        t_max = _band_limit(U, d)
+        if t_max == 0.0:
+            note = f"the Newton step leaves the band {STATE_BAND}"
+            break
+        d *= t_max
+        slope = float(g @ d)
+        if energy_phase and -slope <= 64.0 * eps * max(1.0, abs(E)):
+            energy_phase = False
+        if energy_phase:
+            t = 1.0
+            for _ in range(MAX_HALVINGS):
+                E_new = energy(U + t * d)
+                if E_new <= E + SUFFICIENT_DECREASE * t * slope:
+                    break
+                t *= 0.5
+            else:
+                energy_phase = False  # the energy no longer resolves the step
+        if energy_phase:
+            U = U + t * d
+            E = E_new
+            history.append(E)
+            g_new = resid(U)
+        else:
+            g_new = resid(U + d)
+            if residual_norm(g_new, grid) >= rnorm:
+                note = "residual stopped improving under full Newton steps"
+                break
+            U = U + d
+        iterations += 1
+        gnorm_prev = gnorm
+        g = g_new
+        rnorm = residual_norm(g, grid)
+        if rnorm <= 0.5 * best:
+            best, best_at = rnorm, iterations
 
-    if not np.all(np.isfinite(U)):
-        raise RuntimeError("iteration produced non-finite values")
+    if not energy_phase:
+        E = energy(U)
     converged = rnorm <= cfg.residual_tol
     lo, hi = float(U.min()), float(U.max())
     return SolveResult(
@@ -204,50 +298,15 @@ def minimize(cfg: SolveConfig) -> SolveResult:
     )
 
 
-def _residual_polish(cfg, U, resid, iterations, accepted_steps):
-    """Finish the solve below the energy resolution floor.
-
-    Trial steps keep the Barzilai-Borwein rule but are safeguarded against
-    residual blow-up instead of energy increase; the best iterate seen wins.
-    """
-    grid = cfg.grid
-    w0 = grid.quad_weights[0]
-    t_fix = float(np.median(accepted_steps[-9:])) if accepted_steps else cfg.step0
-    best_U = U.copy()
-    best_rn = float(np.max(np.abs(resid(U).values)) / w0)
-    U_prev = g_prev = None
-    stall = 0
-    note = "finished in residual polish"
-    while iterations < cfg.max_iters:
-        g = resid(U).values.ravel()
-        rn = float(np.max(np.abs(g)) / w0)
-        if rn < best_rn:
-            best_U, best_rn, stall = U.copy(), rn, 0
-        else:
-            stall += 1
-        if best_rn <= cfg.residual_tol:
-            return best_U, best_rn, iterations, note
-        if stall > 400:
-            return best_U, best_rn, iterations, "residual polish stalled"
-        if U_prev is not None:
-            du, dg = U - U_prev, g - g_prev
-            denom = float(du @ dg)
-            t = float(du @ du) / denom if denom > 0.0 else t_fix
-            t = min(max(t, 1e-12), 1e12)
-        else:
-            t = t_fix
-        U_new = U - t * g
-        rn_new = float(np.max(np.abs(resid(U_new).values)) / w0)
-        guard = 0
-        while rn_new > 4.0 * max(best_rn, cfg.residual_tol) and guard < 60:
-            t *= cfg.backtrack
-            U_new = U - t * g
-            rn_new = float(np.max(np.abs(resid(U_new).values)) / w0)
-            guard += 1
-        U_prev, g_prev = U, g
-        U = U_new
-        iterations += 1
-    return best_U, best_rn, iterations, "iteration budget exhausted"
+def _band_limit(U, d):
+    """The largest t <= 1 for which U + t d moves no node further out of
+    STATE_BAND (0 when a node outside it would move further out)."""
+    lo, hi = STATE_BAND
+    room = np.full(U.shape, np.inf)
+    down, up = d < 0.0, d > 0.0
+    room[down] = (U[down] - lo) / -d[down]
+    room[up] = (hi - U[up]) / d[up]
+    return float(min(1.0, max(room.min(), 0.0)))
 
 
 def verify_weak_solution(fam: OperatorFamily, src: SourceFamily, U, grid: Grid,

@@ -77,6 +77,16 @@ class SourceFamily:
         above = F1 + f1 * (s - 1.0) - 0.5 * self.gamma * (s - 1.0) ** 2
         return np.where(s < 0.0, below, np.where(s <= 1.0, self._F(mid, idx), above))
 
+    def fbar_prime_vals(self, s, points=None):
+        """The s-derivative of fbar: f' on [0, 1], +gamma below, -gamma above.
+
+        Unbounded at s = 0 for power terms with exponent below 1; callers
+        that need a finite value floor s.
+        """
+        s, idx = self._align(s, points)
+        inner = self._df(np.clip(s, 0.0, 1.0), idx)
+        return np.where(s < 0.0, self.gamma, np.where(s <= 1.0, inner, -self.gamma))
+
     def _align(self, s, points):
         s = np.asarray(s, dtype=float)
         idx = np.arange(self.npoints) if points is None else np.asarray(points)
@@ -86,6 +96,9 @@ class SourceFamily:
         raise NotImplementedError
 
     def _F(self, s, idx):
+        raise NotImplementedError
+
+    def _df(self, s, idx):
         raise NotImplementedError
 
 
@@ -118,6 +131,11 @@ class PowerSource(SourceFamily):
     def _f(self, s, idx):
         return -self.r1[idx] * s ** self.q1[idx] - self.r2[idx] * s ** self.q2[idx]
 
+    def _df(self, s, idx):
+        q1, q2 = self.q1[idx], self.q2[idx]
+        return (-self.r1[idx] * q1 * s ** (q1 - 1.0)
+                - self.r2[idx] * q2 * s ** (q2 - 1.0))
+
     def _F(self, s, idx):
         q1, q2 = self.q1[idx], self.q2[idx]
         return (-self.r1[idx] * s ** (q1 + 1.0) / (q1 + 1.0)
@@ -138,6 +156,9 @@ class FidelitySource(SourceFamily):
 
     def _f(self, s, idx):
         return self.mu * (self.g[idx] - s)
+
+    def _df(self, s, idx):
+        return np.full(s.shape, -self.mu)
 
     def _F(self, s, idx):
         return self.mu * (self.g[idx] * s - 0.5 * s * s)

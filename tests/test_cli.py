@@ -178,6 +178,21 @@ def test_solve_accepts_field_spec_init(tmp_path):
     assert rep["results"]["converged"]
 
 
+def test_solve_ignores_the_retired_step_key(tmp_path):
+    cfg = _write_cfg(tmp_path, "cfg.json", {
+        "grid": {"dim": 1, "n": 16},
+        "operator": {"kind": "single", "p": 2.0},
+        "source": {"kind": "fidelity", "mu": 1.0, "g": 0.5},
+        "alpha": 1.5,
+        "init": 0.3,
+        "solver": {"tol": 1e-9, "max_iters": 30, "step": 0.25},
+    })
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--output", str(out)]) == 0
+    rep = json.loads((out / "solve_report.json").read_text())
+    assert rep["config"]["solver"] == {"tol": 1e-9, "max_iters": 30}
+
+
 def test_uniqueness_command(tmp_path):
     cfg = _write_cfg(tmp_path, "cfg.json", {
         "grid": {"dim": 2, "n": 8},

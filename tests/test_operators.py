@@ -90,6 +90,43 @@ def test_image_primitive_against_scipy(grid):
         assert fam.A_eval(0, t) == pytest.approx(ref, abs=2e-10)
 
 
+def test_phi_prime_against_differences(grid):
+    rng = np.random.default_rng(4)
+    ramp = exponent_field(grid, np.linspace(1.6, 2.8, grid.npoints))
+    fams = (single_phase(grid, 2.5), two_phase(grid),
+            make_multiphase([ramp], [1.0], alpha=1.5), image_op(grid),
+            make_image_operator(ramp, 0.4, 0.7, 1.5))
+    for fam in fams:
+        s = 10 ** rng.uniform(-2.0, 1.5, grid.npoints)
+        h = 1e-6 * s
+        fd = (fam.phi(s + h) - fam.phi(s - h)) / (2 * h)
+        assert np.allclose(fam.phi_prime(s), fd, rtol=1e-7)
+
+
+def test_image_phi_prime_jumps_at_eps(grid):
+    fam = image_op(grid, p=2.0, eps=0.5, delta=1.0, alpha=1.5)
+    below = fam.phi_prime(np.full(grid.npoints, 0.5))
+    above = fam.phi_prime(np.full(grid.npoints, np.nextafter(0.5, 1.0)))
+    # left: p - 1 = 1 times ln(1.5); right: alpha - 1 = 0.5 times ln(1.5)
+    assert np.allclose(below - above, 0.5 * math.log(1.5), rtol=1e-12)
+
+
+def test_image_primitive_integrates_each_distinct_pair_once(grid):
+    # A_batch integrates each distinct (t, p) pair once and scatters the
+    # results; every integral depends only on its own limit and exponent,
+    # so the result equals integrating every point, bit for bit
+    rng = np.random.default_rng(5)
+    for case in range(30):
+        if case % 2:
+            p = exponent_field(grid, rng.choice([1.7, 2.0, 2.6], grid.npoints))
+        else:
+            p = exponent_field(grid, float(rng.uniform(1.6, 3.0)))
+        fam = make_image_operator(p, float(rng.uniform(0.1, 1.0)),
+                                  float(rng.uniform(0.5, 2.0)), 1.5)
+        t = rng.choice(np.append(rng.uniform(0.0, 5.0, 4), 0.0), grid.npoints)
+        assert np.array_equal(fam.A_batch(t), fam._A_pairs(t, p.values, 1e-12))
+
+
 def test_make_multiphase_validation(grid):
     p2 = exponent_field(grid, 2.0)
     with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
-from pxlab import (GridFunction, SolveConfig, discrete_energy,
-                   discrete_residual, minimize, residual_norm,
-                   synthetic_image, uniqueness_experiment,
+from pxlab import (GridFunction, SolveConfig, build_grid, discrete_energy,
+                   discrete_hessian, discrete_residual, minimize,
+                   residual_norm, synthetic_image, uniqueness_experiment,
                    verify_weak_solution)
 from pxlab.grid import _centered_diff, _centered_diff_adjoint
 
@@ -119,13 +120,16 @@ def test_minimize_energy_history_monotone():
     assert res.residual_norm <= 1e-8
 
 
-def test_minimize_fixed_step_rule():
+def test_minimize_quadratic_energy_takes_one_newton_step():
+    # p = 2 with a fidelity source inside [0, 1]: the energy is quadratic,
+    # so one energy-certified Newton step lands on the minimizer
     grid = grid_1d(16)
     fam = single_phase(grid, 2.0)
     fid = fidelity_src(grid.npoints, g=0.5, mu=1.0)
-    res = minimize(SolveConfig(fam, fid, grid, init=0.2, step_rule="fixed"))
-    assert res.converged
+    res = minimize(SolveConfig(fam, fid, grid, init=0.2))
+    assert res.converged and res.iterations == 1
     assert np.allclose(res.U.values, 0.5, atol=1e-6)
+    assert len(res.energy_history) == 2
     assert all(np.diff(res.energy_history) <= 0.0)
 
 
@@ -170,11 +174,108 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(fam, src, grid, init=0.5, residual_tol=0.0)
     with pytest.raises(ValueError):
-        SolveConfig(fam, src, grid, init=0.5, backtrack=1.5)
+        SolveConfig(fam, src, grid, init=0.5, max_iters=-1)
     with pytest.raises(ValueError):
-        SolveConfig(fam, src, grid, init=0.5, step_rule="newton")
+        minimize(SolveConfig(fam, src, grid, init=np.full(8, np.nan)))
     with pytest.raises(ValueError):
         minimize(SolveConfig(fam, src, grid, init=np.ones(5)))
+
+
+def test_reported_residual_norm_is_the_residual_norm_of_the_result():
+    grid = grid_2d(8)
+    for fam in (two_phase(grid), image_op(grid)):
+        fid = fidelity_src(grid.npoints, g=synthetic_image(8, seed=3).ravel(), mu=1.0)
+        for max_iters in (2, 50):
+            res = minimize(SolveConfig(fam, fid, grid, init=0.3, max_iters=max_iters))
+            assert res.residual_norm == residual_norm(
+                discrete_residual(fam, fid, res.U, grid), grid)
+
+
+def _ops_and_sources(grid):
+    ops = {"single": single_phase(grid, 2.0), "two": two_phase(grid),
+           "image": image_op(grid)}
+    srcs = {"power": power_src(grid.npoints),
+            "fidelity": fidelity_src(grid.npoints, g=0.4, mu=1.2),
+            "zero": zero_src(grid.npoints)}
+    return ops, srcs
+
+
+@pytest.mark.parametrize("op_name", ["single", "two", "image"])
+@pytest.mark.parametrize("src_name", ["power", "fidelity", "zero"])
+def test_hessian_is_residual_derivative(op_name, src_name):
+    grid = grid_2d(6)
+    ops, srcs = _ops_and_sources(grid)
+    fam, src = ops[op_name], srcs[src_name]
+    rng = np.random.default_rng(2)
+    U0 = rng.uniform(0.2, 0.8, grid.npoints)
+    hvp = discrete_hessian(fam, src, GridFunction(U0.reshape(grid.n)), grid)
+    h = 1e-5
+    for _ in range(5):
+        d = rng.standard_normal(grid.npoints)
+        d /= np.linalg.norm(d)
+        rp = discrete_residual(fam, src, GridFunction((U0 + h * d).reshape(grid.n)), grid)
+        rm = discrete_residual(fam, src, GridFunction((U0 - h * d).reshape(grid.n)), grid)
+        fd = (rp.values - rm.values).ravel() / (2 * h)
+        an = hvp(d)
+        assert np.max(np.abs(fd - an)) <= 1e-6 * np.max(np.abs(an))
+
+
+def test_hessian_is_symmetric():
+    grid = grid_2d(7)
+    ops, srcs = _ops_and_sources(grid)
+    rng = np.random.default_rng(3)
+    for fam in ops.values():
+        for src in srcs.values():
+            # values outside [0, 1] reach the extension's +-gamma branches
+            U = GridFunction(rng.uniform(-0.3, 1.3, grid.n))
+            hvp = discrete_hessian(fam, src, U, grid)
+            for _ in range(3):
+                v = rng.standard_normal(grid.npoints)
+                w = rng.standard_normal(grid.npoints)
+                a, b = float(v @ hvp(w)), float(w @ hvp(v))
+                assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+def test_newton_steps_do_not_grow_with_the_grid():
+    for n in (8, 16, 32):
+        grid = build_grid(2, n, 1.0)
+        fam = two_phase(grid)
+        fid = fidelity_src(grid.npoints, g=synthetic_image(n, seed=7).ravel(), mu=1.0)
+        for init in (0.2, 0.9):
+            res = minimize(SolveConfig(fam, fid, grid, init=init))
+            assert res.converged and res.residual_norm <= 1e-8
+            assert res.iterations <= 12, (n, init, res.iterations)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+def test_hostile_exponents_end_with_a_verdict(p):
+    # below p = 2 the flux Jacobian is unbounded at zero gradient; the solve
+    # must still end quickly with a finite state and either converge or say why
+    grid = grid_2d(12)
+    fam = single_phase(grid, p, alpha=1.1)
+    fid = fidelity_src(grid.npoints, g=synthetic_image(12, seed=7).ravel(), mu=1.0,
+                       alpha=1.1)
+    t0 = time.perf_counter()
+    res = minimize(SolveConfig(fam, fid, grid, init=0.2))
+    assert time.perf_counter() - t0 < 10.0
+    assert np.all(np.isfinite(res.U.values))
+    assert res.converged or (res.note and res.residual_norm > 1e-8)
+    assert all(np.diff(res.energy_history) <= 0.0)
+
+
+def test_descent_into_the_concave_extension_is_stopped():
+    # f(x, s) = -s has its zero at s = 0, where the extended energy has an
+    # inflection: below 0 it is unbounded.  A Newton step that overshoots
+    # below 0 must end the solve at the band edge, not run off until the
+    # image primitive can no longer be integrated.
+    grid = grid_1d(16)
+    src = power_src(grid.npoints, r1=1.0, q1=1.0)
+    init = 0.5 + 0.3 * np.cos(3.0 * grid.quad_points[:, 0])
+    for fam in (image_op(grid), two_phase(grid)):
+        res = minimize(SolveConfig(fam, src, grid, init=init))
+        assert not res.converged and "band" in res.note
+        assert res.U.values.min() >= -1.0 and res.U.values.max() <= 2.0
+        assert all(np.diff(res.energy_history) <= 0.0)
 
 
 def test_weak_form_defect_bounded_by_residual_norm():

@@ -45,6 +45,11 @@ def test_extension_derivative(src_name):
     h = 1e-6
     fd = (src.Fbar_vals(s + h, pts) - src.Fbar_vals(s - h, pts)) / (2 * h)
     assert np.max(np.abs(fd - src.fbar_vals(s, pts))) <= 1e-8
+    # fbar' is f' inside [0, 1] and the +-gamma slopes of the extension outside
+    fd2 = (src.fbar_vals(s + h, pts) - src.fbar_vals(s - h, pts)) / (2 * h)
+    assert np.max(np.abs(fd2 - src.fbar_prime_vals(s, pts))) <= 1e-6
+    assert np.all(src.fbar_prime_vals(s[s < 0.0], pts[s < 0.0]) == src.gamma)
+    assert np.all(src.fbar_prime_vals(s[s > 1.0], pts[s > 1.0]) == -src.gamma)
 
 
 @pytest.mark.parametrize("src_name", ["power", "fidelity"])
