@@ -5,12 +5,12 @@ convexity along segment paths."""
 from .grid import (AnalyticFieldSpec, Grid, GridFunction, JetField,
                    alpha_root_jet, build_grid, discrete_gradient, integrate,
                    jet_linear, sample_jet)
-from .operators import (ExponentField, OperatorFamily, QuadratureError,
-                        check_homogeneity, exponent_field,
-                        image_coercivity_constants, image_growth_constant,
-                        make_image_operator, make_multiphase)
-from .sources import (SourceFamily, check_source_props, extend_source,
-                      make_fidelity_source, make_power_source, make_zero_source)
+from .operators import (ExponentField, OperatorFamily, check_homogeneity,
+                        exponent_field, image_coercivity_constants,
+                        image_growth_constant, make_image_operator,
+                        make_multiphase)
+from .sources import (SourceFamily, check_source_props, make_fidelity_source,
+                      make_power_source, make_zero_source)
 from .hypotheses import (HypothesisReport, check_coercivity, check_exponent,
                          check_growth, check_limit_monotone,
                          check_monotone_ratio, check_source_hypotheses,
@@ -21,8 +21,8 @@ from .inequality import (EqualityDiagnosis, IntegralGap, ScalarIneqCase,
                          pointwise_gap, pointwise_gap_parts, quotient_jet,
                          ratio_power_jet, scalar_gap, subunit_power_gaps,
                          truncate_jet)
-from .path import (BetaScan, PathContext, assert_admissible_jet, beta_scan,
-                   default_thetas, energy_J, make_path, path_jets)
+from .path import (BetaScan, PathContext, beta_scan, default_thetas, energy_J,
+                   make_path, path_jets)
 from .solver import (SolveConfig, SolveResult, discrete_energy,
                      discrete_hessian, discrete_residual, minimize,
                      residual_norm, synthetic_image, uniqueness_experiment,

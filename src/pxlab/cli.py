@@ -393,6 +393,7 @@ def cmd_solve(cfg: dict, outdir: Path, seed: int) -> int:
         "gate": gate.to_jsonable(),
         "gate_ok": gate_ok,
         "converged": result.converged,
+        "note": result.note,
         "iterations": result.iterations,
         "residual_norm": result.residual_norm,
         "energy": result.energy,
@@ -453,6 +454,7 @@ def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
         "gate": gate.to_jsonable(),
         "gate_ok": gate_ok,
         "converged": result.converged,
+        "note": result.note,
         "iterations": result.iterations,
         "residual_norm": result.residual_norm,
         "ess_inf": result.ess_inf,

@@ -106,13 +106,6 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function contains non-finite values")
 
-    def check_admissible(self, tol: float = 0.0) -> None:
-        """Raise unless 0 <= U <= 1 at every node (admissible-state flag)."""
-        lo = float(self.values.min())
-        hi = float(self.values.max())
-        if lo < -tol or hi > 1.0 + tol:
-            raise ValueError(f"values outside [0, 1]: min={lo}, max={hi}")
-
 
 @dataclass(frozen=True)
 class AnalyticFieldSpec:

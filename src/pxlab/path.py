@@ -198,10 +198,3 @@ def beta_scan(ctx: PathContext, fam: OperatorFamily, src: SourceFamily,
         fd_max_rel_err=float(fd_err),
         strict_gap_ok=strict_ok,
     )
-
-
-def assert_admissible_jet(w: JetField, alpha: float) -> None:
-    """Positivity plus a finite alpha-root jet; raises when either fails."""
-    if w.values.min() <= 0.0:
-        raise ValueError("field must be positive")
-    alpha_root_jet(w, alpha)

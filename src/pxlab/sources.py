@@ -102,16 +102,6 @@ class SourceFamily:
         raise NotImplementedError
 
 
-def extend_source(src: SourceFamily, point: int, s: float) -> dict:
-    """The extension pair (fbar, Fbar) at one point; s may be any real."""
-    pts = np.asarray([point])
-    sv = np.asarray([float(s)])
-    return {
-        "fbar": float(src.fbar_vals(sv, points=pts)[0]),
-        "Fbar": float(src.Fbar_vals(sv, points=pts)[0]),
-    }
-
-
 class PowerSource(SourceFamily):
     """f(x, s) = -r1(x) s^q1(x) - r2(x) s^q2(x) with nonnegative coefficients."""
 

@@ -156,12 +156,28 @@ def test_solve_command_artifacts(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--output", str(out)]) == 0
     rep = json.loads((out / "solve_report.json").read_text())
-    assert rep["results"]["converged"]
+    assert rep["results"]["converged"] and rep["results"]["note"] == ""
     assert rep["results"]["weak_form_defect"]["passed"]
     assert (out / "solution.csv").exists()
     img = read_pgm(out / "solution.pgm")
     assert img.width == img.height == 8
     assert abs(img.values[0, 0] - 0.5) < 0.01
+
+
+def test_unconverged_solve_reports_why_it_stopped(tmp_path):
+    # single-phase p = 1.2 stalls (the flux Jacobian is unbounded at zero
+    # gradient); the report alone must say why the solve ended
+    cfg = _write_cfg(tmp_path, "cfg.json", {
+        "grid": {"dim": 2, "n": 12},
+        "operator": {"kind": "single", "p": 1.2},
+        "source": {"kind": "fidelity", "mu": 1.0, "g": "synthetic"},
+        "alpha": 1.1,
+        "init": 0.2,
+    })
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--output", str(out)]) == 1
+    res = json.loads((out / "solve_report.json").read_text())["results"]
+    assert not res["converged"] and res["note"]
 
 
 def test_solve_accepts_field_spec_init(tmp_path):
@@ -289,15 +305,29 @@ def test_csv_floats_roundtrip_exactly(tmp_path):
 
 
 def test_reports_reproducible_apart_from_timestamp(tmp_path):
-    cfg = _write_cfg(tmp_path, "cfg.json", {"trials": 4000, "seeds": {"main": 5}})
-    outs = []
-    for name in ("o1", "o2"):
-        out = tmp_path / name
-        assert main(["inequality", "--config", cfg, "--output", str(out)]) == 0
-        outs.append((out / "inequality_report.json").read_text())
+    # the path-scan and denoise reports go through the image primitive
+    image = {"kind": "image", "p": 2.0, "eps": 0.5, "delta": 1.0}
+    runs = {
+        "inequality": {"trials": 4000, "seeds": {"main": 5}},
+        "path-scan": {"grid": {"dim": 2, "n": 8}, "operator": image,
+                      "source": {"kind": "power", "r1": 1.0, "q1": 1.0},
+                      "alpha": 1.5, "seeds": {"main": 5},
+                      "fields": {"w1": {"name": "quadratic-bump",
+                                        "params": {"base": 1.0, "amp": 1.0}},
+                                 "w2": {"name": "exp-linear", "params": {"k": 0.8}}}},
+        "denoise": {"denoise": {"input": "synthetic", "n": 12, "mu": 2.0},
+                    "alpha": 1.5, "seeds": {"main": 5}},
+    }
     scrub = lambda s: re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', s)
-    assert scrub(outs[0]) == scrub(outs[1])
-    assert json.loads(outs[0])["config"]["seeds"]["main"] == 5
+    for command, config in runs.items():
+        cfg = _write_cfg(tmp_path, f"{command}.json", config)
+        outs = []
+        for name in ("o1", "o2"):
+            out = tmp_path / command / name
+            assert main([command, "--config", cfg, "--output", str(out)]) == 0
+            outs.append((out / f"{command}_report.json").read_text())
+        assert scrub(outs[0]) == scrub(outs[1])
+        assert json.loads(outs[0])["config"]["seeds"]["main"] == 5
 
 
 def test_denoise_large_mu_tracks_input(tmp_path):

@@ -78,7 +78,9 @@ def test_scalar_gap_with_operator_profile():
     # profiles frozen at a quadrature point plug straight into the scalar form
     grid = grid_1d(16)
     fam = image_op(grid, alpha=1.5)
-    phi = fam.phi_profile(3)
+    def phi(s):
+        return fam.phi_at(3, s)
+
     case = scalar_gap(phi, 1.5, 0.8, 1.7, 2.0, 0.4)
     assert case.gap >= -1e-12 * max(1.0, abs(case.lhs))
     scalar_part, _ = pointwise_gap_parts(

@@ -1,13 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 
-from pxlab import (QuadratureError, check_homogeneity, exponent_field,
+from pxlab import (check_homogeneity, exponent_field,
                    image_coercivity_constants, image_growth_constant,
                    make_image_operator, make_multiphase)
-from pxlab.operators import _adaptive_simpson_batch
 
 from util import grid_1d, image_op, single_phase, two_phase
 
@@ -114,7 +114,7 @@ def test_image_phi_prime_jumps_at_eps(grid):
 def test_image_primitive_integrates_each_distinct_pair_once(grid):
     # A_batch integrates each distinct (t, p) pair once and scatters the
     # results; every integral depends only on its own limit and exponent,
-    # so the result equals integrating every point, bit for bit
+    # so the result equals integrating every point on its own, bit for bit
     rng = np.random.default_rng(5)
     for case in range(30):
         if case % 2:
@@ -124,7 +124,83 @@ def test_image_primitive_integrates_each_distinct_pair_once(grid):
         fam = make_image_operator(p, float(rng.uniform(0.1, 1.0)),
                                   float(rng.uniform(0.5, 2.0)), 1.5)
         t = rng.choice(np.append(rng.uniform(0.0, 5.0, 4), 0.0), grid.npoints)
-        assert np.array_equal(fam.A_batch(t), fam._A_pairs(t, p.values, 1e-12))
+        single = [fam.A_eval(i, float(t[i])) for i in range(grid.npoints)]
+        assert np.array_equal(fam.A_batch(t), single)
+
+
+def _quad_reference(p, eps, delta, alpha, t):
+    """A(t) of the image profile by scipy's quad in v = ln s, on unit pieces."""
+    def piece(q, lo, hi):
+        def f(v):
+            return math.exp(q * v) * math.log1p(math.exp(v)) ** delta
+        cuts = [lo, hi] if lo == -math.inf else np.append(np.arange(lo, hi, 1.0), hi)
+        return math.fsum(scipy.integrate.quad(f, a, b, epsabs=0.0, epsrel=2e-14,
+                                              limit=200)[0]
+                         for a, b in zip(cuts[:-1], cuts[1:]))
+    low = piece(p, -math.inf, math.log(min(t, eps)))
+    if t <= eps:
+        return low
+    return low + eps ** (p - alpha) * piece(alpha, math.log(eps), math.log(t))
+
+
+LIMITS = np.array([1e-3, 0.04, 0.3, 0.5, 0.8, 1.3, 2.2, 7.0, 40.0, 1e3, 1e4, 1e6])
+
+
+@pytest.mark.parametrize("eps,delta", [
+    (0.05, 1.0), (0.3, 1.37), (0.5, 0.5), (0.9, 2.0), (1.7, 2.6), (2.5, 3.3),
+    (3.0, 25.0)])
+def test_image_primitive_matches_quad_references(eps, delta):
+    # eps below and above 1/2, non-integer delta (delta > 2 also moves the
+    # series cutoff below 1/2, and large p + delta narrows the panels), a
+    # variable exponent, limits up to 1e6
+    grid = grid_1d(LIMITS.size)
+    p = exponent_field(grid, np.linspace(1.8, 3.4, LIMITS.size))
+    for alpha in (1.2, 1.75):
+        fam = make_image_operator(p, eps, delta, alpha)
+        got = fam.A_batch(LIMITS)
+        for i, t in enumerate(LIMITS):
+            ref = _quad_reference(p.values[i], eps, delta, alpha, float(t))
+            assert got[i] == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_image_primitive_is_batch_independent():
+    # one batch spanning every regime (0, the series, the low panels above
+    # 1/2, the tail with 1 to 17 panels) against one-point batches and a
+    # permuted, longer batch: no value may depend on its neighbours
+    rng = np.random.default_rng(8)
+    grid = grid_1d(48)
+    p = exponent_field(grid, rng.uniform(1.6, 3.5, grid.npoints))
+    for eps, delta in ((1.9, 0.7), (0.2, 2.5)):
+        fam = make_image_operator(p, eps, delta, 1.5)
+        t = np.concatenate([[0.0, 1e-9, 0.5, eps, 1e6],
+                            10 ** rng.uniform(-3.0, 5.0, grid.npoints - 5)])
+        batch = fam.A_batch(t)
+        single = [fam.A_eval(i, float(t[i])) for i in range(grid.npoints)]
+        assert np.array_equal(batch, single)
+        perm = rng.permutation(grid.npoints)
+        extra = rng.integers(0, grid.npoints, 20)
+        mixed = fam.A_batch(np.append(t[perm], 10 ** rng.uniform(-3.0, 8.0, 20)),
+                            points=np.append(perm, extra))
+        assert np.array_equal(mixed[:grid.npoints], batch[perm])
+
+
+def test_image_primitive_large_limits_stay_finite_and_small():
+    # at |grad U| in the thousands and beyond the primitive stays finite and
+    # exact, with a working set that grows only with ln t
+    fam = image_op(grid_1d(8), p=2.0, eps=0.5, delta=1.0, alpha=1.5)
+    for t in (1e3, 1e4, 1e6):
+        tracemalloc.start()
+        try:
+            got = fam.A_batch(np.full(8, t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(got)) and np.all(got == got[0])
+        assert got[0] == pytest.approx(_quad_reference(2.0, 0.5, 1.0, 1.5, t),
+                                       rel=1e-13, abs=0.0)
+        assert peak < 200_000
+    with pytest.raises(ValueError):
+        fam.A_batch(np.array([1.0, np.inf]), points=np.array([0, 1]))
 
 
 def test_make_multiphase_validation(grid):
@@ -226,21 +302,3 @@ def test_growth_constant_requires_image(grid):
         image_growth_constant(single_phase(grid, 2.0))
     with pytest.raises(ValueError):
         image_coercivity_constants(two_phase(grid), 1.0)
-
-
-def test_adaptive_simpson_depth_budget():
-    def f(s, rows):
-        return 1.0 / np.sqrt(s)
-
-    with pytest.raises(QuadratureError):
-        _adaptive_simpson_batch(f, np.array([1e-300]), np.array([1.0]),
-                                tol=1e-14, max_depth=6)
-
-
-def test_adaptive_simpson_known_integrals():
-    def f(s, rows):
-        return np.where(rows == 0, np.sin(s), s**2)
-
-    out = _adaptive_simpson_batch(f, np.zeros(2), np.array([np.pi, 2.0]), tol=1e-12)
-    assert out[0] == pytest.approx(2.0, abs=1e-11)
-    assert out[1] == pytest.approx(8.0 / 3.0, abs=1e-11)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pxlab import (JetField, assert_admissible_jet, beta_scan, default_thetas,
-                   energy_J, jet_linear, make_path, path_jets)
+from pxlab import (JetField, alpha_root_jet, beta_scan, default_thetas, energy_J,
+                   jet_linear, make_path, path_jets)
 
 from util import grid_1d, image_op, power_src, random_positive_jet, \
     single_phase, two_phase
@@ -95,10 +95,11 @@ def test_positive_closure_under_scaling_and_sums():
         w1 = random_positive_jet(rng, grid)
         w2 = random_positive_jet(rng, grid)
         theta = float(rng.uniform(0.1, 5.0))
-        assert_admissible_jet(jet_linear(theta, w1, 0.0, w2), 1.5)
-        assert_admissible_jet(jet_linear(1.0, w1, 1.0, w2), 1.5)
+        for w in (jet_linear(theta, w1, 0.0, w2), jet_linear(1.0, w1, 1.0, w2)):
+            assert w.values.min() > 0.0
+            alpha_root_jet(w, 1.5)  # the jet validates that it is finite
     with pytest.raises(ValueError):
-        assert_admissible_jet(_const_jet(32, -1.0), 1.5)
+        alpha_root_jet(_const_jet(32, -1.0), 1.5)
 
 
 def test_energy_J_examples():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from pxlab import (check_source_props, extend_source, make_fidelity_source,
-                   make_power_source)
+from pxlab import check_source_props, make_fidelity_source, make_power_source
 from pxlab.sources import SourceFamily
 
 from util import fidelity_src, power_src, zero_src
@@ -17,13 +16,14 @@ def linear_decay():
 
 
 def test_extension_branches(linear_decay):
-    e = extend_source(linear_decay, 0, 2.0)
-    assert e["fbar"] == pytest.approx(-2.0, abs=1e-15)
-    assert e["Fbar"] == pytest.approx(-2.0, abs=1e-15)
-    e = extend_source(linear_decay, 0, -1.0)
-    assert e["fbar"] == pytest.approx(-1.0, abs=1e-15)
+    s, pts = np.array([2.0, -1.0]), np.zeros(2, dtype=int)
+    fbar = linear_decay.fbar_vals(s, points=pts)
+    Fbar = linear_decay.Fbar_vals(s, points=pts)
+    assert fbar[0] == pytest.approx(-2.0, abs=1e-15)
+    assert Fbar[0] == pytest.approx(-2.0, abs=1e-15)
+    assert fbar[1] == pytest.approx(-1.0, abs=1e-15)
     # antiderivative of f(x,0) + gamma*s through 0
-    assert e["Fbar"] == pytest.approx(0.5, abs=1e-15)
+    assert Fbar[1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_extension_matches_f_and_F_inside(linear_decay):
