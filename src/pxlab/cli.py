@@ -22,9 +22,9 @@ import numpy as np
 from . import hypotheses as hyp
 from . import inequality as ineq
 from .grid import AnalyticFieldSpec, Grid, build_grid, sample_jet
-from .operators import (OperatorFamily, exponent_field, image_coercivity_constants,
-                        image_growth_constant, check_homogeneity, make_image_operator,
-                        make_multiphase)
+from .operators import (ExponentField, ImageFamily, OperatorFamily, exponent_field,
+                        image_coercivity_constants, image_growth_constant,
+                        check_homogeneity, make_image_operator, make_multiphase)
 from .path import beta_scan, make_path
 from .solver import (SolveConfig, minimize, synthetic_image, uniqueness_experiment,
                      verify_weak_solution)
@@ -99,11 +99,14 @@ def write_pgm(img: Image, path) -> None:
 def load_config(path) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            cfg = json.load(f)
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _build_grid(cfg: dict) -> Grid:
@@ -117,17 +120,20 @@ def _build_grid(cfg: dict) -> Grid:
     return grid
 
 
-def _exponent(grid: Grid, spec) -> "np.ndarray":
+def _exponent(grid: Grid, spec) -> ExponentField:
     if isinstance(spec, (int, float)):
         return exponent_field(grid, float(spec))
     if isinstance(spec, dict):
         kind = spec.get("kind")
-        if kind == "constant":
-            return exponent_field(grid, float(spec["value"]))
-        if kind == "ramp":
-            lo, hi = float(spec["from"]), float(spec["to"])
-            x = grid.quad_points[:, 0] / grid.extent[0]
-            return exponent_field(grid, lo + (hi - lo) * x)
+        try:
+            if kind == "constant":
+                return exponent_field(grid, float(spec["value"]))
+            if kind == "ramp":
+                lo, hi = float(spec["from"]), float(spec["to"])
+                x = grid.quad_points[:, 0] / grid.extent[0]
+                return exponent_field(grid, lo + (hi - lo) * x)
+        except (KeyError, TypeError) as e:
+            raise ConfigError(f"bad exponent spec: {spec!r}") from e
     raise ConfigError(f"bad exponent spec: {spec!r}")
 
 
@@ -252,7 +258,7 @@ def _jsonable(obj):
 def _hypothesis_gate(fam, src, grid, seed: int) -> tuple:
     """Run every validator a family and source claim; returns (report, ok)."""
     rep = hyp.check_limit_monotone(fam, seed=seed)
-    if fam.kind == "image":
+    if isinstance(fam, ImageFamily):
         b = image_growth_constant(fam)["b"]
         growth = hyp.check_growth(fam, 0.0, b, seed=seed)
         growth.checks["H6"].note = f"fitted b = {b}"
@@ -262,7 +268,7 @@ def _hypothesis_gate(fam, src, grid, seed: int) -> tuple:
     rep = rep.merge(growth)
     rep = rep.merge(hyp.check_monotone_ratio(fam, fam.r_order, fam.strict_flag, seed=seed))
     fields = hyp.default_trial_fields(grid, seed=seed)
-    if fam.kind == "image":
+    if isinstance(fam, ImageFamily):
         c1, c2 = image_coercivity_constants(fam, grid.volume)
         coer = hyp.check_coercivity(fam, "alpha", fields, grid, c1=c1, c2=c2)
         probe = hyp.check_coercivity(fam, "pX", fields, grid, d0=1.0, d0_tilde=0.0)
@@ -272,8 +278,8 @@ def _hypothesis_gate(fam, src, grid, seed: int) -> tuple:
         rep = rep.merge(probe)
     else:
         omega = min(float(np.min(w)) for w in fam.weights)
-        d0 = fam.params.get("d0", omega / fam.exponent.p_plus)
-        d0t = fam.params.get("d0_tilde", 0.0)
+        d0 = omega / fam.exponent.p_plus if fam.d0 is None else fam.d0
+        d0t = 0.0 if fam.d0_tilde is None else fam.d0_tilde
         coer = hyp.check_coercivity(fam, "pX", fields, grid, d0=d0, d0_tilde=d0t)
         rep = rep.merge(coer)
         gate_names = [n for n in rep.checks]
@@ -306,7 +312,12 @@ def cmd_check_hypotheses(cfg: dict, outdir: Path, seed: int) -> int:
 
 
 def cmd_inequality(cfg: dict, outdir: Path, seed: int) -> int:
-    trials = int(cfg.get("trials", 100_000))
+    try:
+        trials = int(cfg.get("trials", 100_000))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad trials: {e}") from e
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     scalar = ineq.fuzz_scalar_gaps(trials, seed)
     subunit = ineq.fuzz_subunit_gaps(trials, seed)
     ok = (scalar["min_scaled_gap"] >= -1e-12
@@ -322,12 +333,12 @@ def cmd_path_scan(cfg: dict, outdir: Path, seed: int) -> int:
     fam = _build_operator(cfg, grid, alpha)
     src = _build_source(cfg, grid, alpha)
     fields = cfg.get("fields", {})
-    w1 = sample_jet(_field_spec(fields.get("w1")), grid)
-    w2 = sample_jet(_field_spec(fields.get("w2")), grid)
     try:
+        w1 = sample_jet(_field_spec(fields.get("w1")), grid)
+        w2 = sample_jet(_field_spec(fields.get("w2")), grid)
         ctx = make_path(w1, w2, alpha)
         scan = beta_scan(ctx, fam, src, grid)
-    except ValueError as e:
+    except (KeyError, ValueError) as e:
         raise ConfigError(str(e)) from e
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "path_scan.csv",
@@ -370,6 +381,20 @@ def _solve_pipeline(cfg: dict, outdir: Path, seed: int, g_data=None):
     return grid, fam, src, scfg, gate, gate_ok
 
 
+def _solve_results(gate, gate_ok: bool, result) -> dict:
+    """The report entries that solve and denoise share."""
+    return {
+        "gate": gate.to_jsonable(),
+        "gate_ok": gate_ok,
+        "converged": result.converged,
+        "note": result.note,
+        "iterations": result.iterations,
+        "residual_norm": result.residual_norm,
+        "ess_inf": result.ess_inf,
+        "in_unit_box": result.in_unit_box,
+    }
+
+
 def cmd_solve(cfg: dict, outdir: Path, seed: int) -> int:
     grid, fam, src, scfg, gate, gate_ok = _solve_pipeline(cfg, outdir, seed)
     result = minimize(scfg)
@@ -389,16 +414,8 @@ def cmd_solve(cfg: dict, outdir: Path, seed: int) -> int:
         if result.in_unit_box:
             img = Image(width=grid.n[1], height=grid.n[0], values=U)
             write_pgm(img, outdir / "solution.pgm")
-    results = {
-        "gate": gate.to_jsonable(),
-        "gate_ok": gate_ok,
-        "converged": result.converged,
-        "note": result.note,
-        "iterations": result.iterations,
-        "residual_norm": result.residual_norm,
+    results = _solve_results(gate, gate_ok, result) | {
         "energy": result.energy,
-        "ess_inf": result.ess_inf,
-        "in_unit_box": result.in_unit_box,
         "strongly_positive": result.strongly_positive,
         "weak_form_defect": ver,
         "csv": "solution.csv",
@@ -409,9 +426,14 @@ def cmd_solve(cfg: dict, outdir: Path, seed: int) -> int:
 
 
 def cmd_uniqueness(cfg: dict, outdir: Path, seed: int) -> int:
+    try:
+        inits = [float(v) for v in cfg.get("inits", [0.2, 0.9])]
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad inits: {e}") from e
+    if not all(0.0 < v <= 1.0 for v in inits):
+        raise ConfigError(f"inits must lie in (0, 1], got {inits}")
     grid, fam, src, scfg, gate, gate_ok = _solve_pipeline(cfg, outdir, seed)
-    inits = cfg.get("inits", [0.2, 0.9])
-    report = uniqueness_experiment(scfg, [float(v) for v in inits])
+    report = uniqueness_experiment(scfg, inits)
     ok = gate_ok and report.get("uniqueness_ok", True)
     results = {"gate_ok": gate_ok, "experiment": _jsonable(report)}
     _write_report(outdir, "uniqueness", cfg, results, ok)
@@ -421,18 +443,19 @@ def cmd_uniqueness(cfg: dict, outdir: Path, seed: int) -> int:
 def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
     d = cfg.get("denoise", {})
     inp = d.get("input", "synthetic")
-    if inp == "synthetic":
-        n = int(d.get("n", 32))
-        img = Image(width=n, height=n, values=synthetic_image(n, seed=int(d.get("g_seed", 7))))
-    else:
-        img = read_pgm(inp)
-    grid = build_grid(2, (img.height, img.width), (1.0, img.width / img.height))
     alpha = float(cfg.get("alpha", 1.5))
-    p = _exponent(grid, d.get("p", 2.0))
     try:
+        if inp == "synthetic":
+            n = int(d.get("n", 32))
+            img = Image(width=n, height=n,
+                        values=synthetic_image(n, seed=int(d.get("g_seed", 7))))
+        else:
+            img = read_pgm(inp)
+        grid = build_grid(2, (img.height, img.width), (1.0, img.width / img.height))
+        p = _exponent(grid, d.get("p", 2.0))
         fam = make_image_operator(p, float(d.get("eps", 0.5)), float(d.get("delta", 1.0)), alpha)
         src = make_fidelity_source(img.values.ravel(), float(d.get("mu", 1.0)), alpha)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         raise ConfigError(str(e)) from e
     gate, gate_ok = _hypothesis_gate(fam, src, grid, seed)
     init = d.get("init", 0.5)
@@ -450,15 +473,7 @@ def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
     if out_ok:
         write_pgm(Image(width=img.width, height=img.height, values=U),
                   outdir / "denoised.pgm")
-    results = {
-        "gate": gate.to_jsonable(),
-        "gate_ok": gate_ok,
-        "converged": result.converged,
-        "note": result.note,
-        "iterations": result.iterations,
-        "residual_norm": result.residual_norm,
-        "ess_inf": result.ess_inf,
-        "in_unit_box": result.in_unit_box,
+    results = _solve_results(gate, gate_ok, result) | {
         "tv_input": _total_variation(img.values, grid),
         "tv_output": _total_variation(U, grid),
         "output": "denoised.pgm" if out_ok else None,
@@ -517,8 +532,10 @@ def main(argv=None) -> int:
             p.add_argument("--n", type=int, default=None)
     args = parser.parse_args(argv)
 
+    outdir = Path(args.output or ".")
     try:
         cfg = load_config(args.config) if args.config else {}
+        outdir = Path(args.output or cfg.get("output", {}).get("dir", "."))
         if args.command == "inequality" and args.trials is not None:
             cfg["trials"] = args.trials
         if args.command == "fixtures":
@@ -529,7 +546,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.setdefault("seeds", {})["main"] = args.seed
         seed = int(cfg.get("seeds", {}).get("main", 0))
-        outdir = Path(args.output or cfg.get("output", {}).get("dir", "."))
         cfg.setdefault("seeds", {})["main"] = seed
         cfg.setdefault("alpha", 1.5)
         code = COMMANDS[args.command](cfg, outdir, seed)
@@ -537,7 +553,6 @@ def main(argv=None) -> int:
         err = {"error": str(e), "command": args.command}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         try:
-            outdir = Path(args.output or ".")
             outdir.mkdir(parents=True, exist_ok=True)
             (outdir / "error.json").write_text(json.dumps(err, indent=2, sort_keys=True) + "\n")
         except OSError:

@@ -186,9 +186,9 @@ def pointwise_gap(fam: OperatorFamily, r: float, point: int,
     t12 = w1 / w2
     grad21 = r * t21 ** (r - 1.0) * g2 - (r - 1.0) * t21**r * g1
     grad12 = r * t12 ** (r - 1.0) * g1 - (r - 1.0) * t12**r * g2
-    a1 = fam.a_eval(point, g1)
-    a2 = fam.a_eval(point, g2)
-    return float(np.dot(a1, g1 - grad21) - np.dot(a2, grad12 - g2))
+    psi1, psi2 = fam.psi(np.sqrt([np.sum(g1 * g1), np.sum(g2 * g2)]),
+                         points=[point, point])
+    return float(np.dot(psi1 * g1, g1 - grad21) - np.dot(psi2 * g2, grad12 - g2))
 
 
 def pointwise_gap_parts(fam: OperatorFamily, r: float,

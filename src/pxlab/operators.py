@@ -28,8 +28,8 @@ class ExponentField:
     """Sampled variable exponent p(x) with cached extremes."""
 
     values: np.ndarray = field(repr=False)
-    p_minus: float = 0.0
-    p_plus: float = 0.0
+    p_minus: float = field(init=False)
+    p_plus: float = field(init=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -46,16 +46,12 @@ class ExponentField:
         return self.p_minus >= 2.0 * dim / (dim + 2.0)
 
 
-def exponent_field(grid_or_n, spec) -> ExponentField:
-    """Build an exponent field from a constant, array, or callable on points."""
-    if isinstance(grid_or_n, Grid):
-        npts, pts = grid_or_n.npoints, grid_or_n.quad_points
-    else:
-        npts, pts = int(grid_or_n), None
+def exponent_field(grid: Grid, spec) -> ExponentField:
+    """Build an exponent field on the grid's quadrature points from a
+    constant, an array, or a callable on the points."""
+    npts = grid.npoints
     if callable(spec):
-        if pts is None:
-            raise ValueError("callable exponent spec needs a Grid")
-        vals = np.asarray(spec(pts), dtype=float)
+        vals = np.asarray(spec(grid.quad_points), dtype=float)
     elif np.isscalar(spec):
         vals = np.full(npts, float(spec))
     else:
@@ -68,10 +64,13 @@ def exponent_field(grid_or_n, spec) -> ExponentField:
 class OperatorFamily:
     """The triple (Psi, Phi, A) of an isotropic flux, sampled per quadrature point.
 
+    Every evaluation is a batch: per-point values s (or t) paired with
+    point indices ``points`` (all points in order when omitted).
+
     Attributes
     ----------
-    kind : str
-        "multiphase" or "image".
+    npoints : int
+        Number of quadrature points, the length of the exponent field.
     r_order : float
         Order r for which the profile ratio Phi(x, s)/s^(r-1) is certified
         monotone (strictly when ``strict_flag``).
@@ -83,38 +82,29 @@ class OperatorFamily:
         The family exponent p(x); for multi-phase sums the pointwise max.
     """
 
-    def __init__(self, kind, npoints, r_order, strict_flag, homogeneous_flag,
-                 exponent, params):
-        self.kind = kind
-        self.npoints = int(npoints)
+    def __init__(self, r_order, strict_flag, homogeneous_flag, exponent):
+        self.npoints = exponent.values.shape[0]
         self.r_order = float(r_order)
         self.strict_flag = bool(strict_flag)
         self.homogeneous_flag = bool(homogeneous_flag)
         self.exponent = exponent
-        self.params = dict(params)
+
+    def _align(self, s, points):
+        s = np.asarray(s, dtype=float)
+        idx = np.arange(self.npoints) if points is None else np.asarray(points)
+        return np.broadcast_arrays(s, idx)
 
     # -- radial profile ------------------------------------------------
 
     def phi(self, s, points=None):
         """Phi(x_i, s_i) for per-point magnitudes s (s >= 0)."""
-        s = np.asarray(s, dtype=float)
-        idx = np.arange(self.npoints) if points is None else np.asarray(points)
-        s, idx = np.broadcast_arrays(s, idx)
+        s, idx = self._align(s, points)
         return self._phi(s, idx)
-
-    def phi_at(self, point: int, s: float) -> float:
-        return float(self._phi(np.asarray([float(s)]), np.asarray([point]))[0])
 
     def psi(self, s, points=None):
         """Psi(x, s) = Phi(x, s)/s with the removable zero at s = 0."""
-        s = np.asarray(s, dtype=float)
-        idx = np.arange(self.npoints) if points is None else np.asarray(points)
-        s, idx = np.broadcast_arrays(s, idx)
-        out = np.zeros(s.shape)
-        pos = s > 0.0
-        if np.any(pos):
-            out[pos] = self._phi(s[pos], idx[pos]) / s[pos]
-        return out
+        s, idx = self._align(s, points)
+        return np.divide(self._phi(s, idx), s, out=np.zeros(s.shape), where=s > 0.0)
 
     def phi_prime(self, s, points=None):
         """The s-derivative of Phi(x_i, s) at per-point magnitudes s > 0.
@@ -122,19 +112,10 @@ class OperatorFamily:
         Unbounded as s -> 0 where the profile grows slower than linearly
         (exponents below 2); callers that need a finite value floor s.
         """
-        s = np.asarray(s, dtype=float)
-        idx = np.arange(self.npoints) if points is None else np.asarray(points)
-        s, idx = np.broadcast_arrays(s, idx)
+        s, idx = self._align(s, points)
         return self._dphi(s, idx)
 
     # -- flux and primitive ---------------------------------------------
-
-    def a_eval(self, point: int, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        norm = float(np.sqrt(np.sum(xi * xi)))
-        if norm == 0.0:
-            return np.zeros_like(xi)
-        return (self.phi_at(point, norm) / norm) * xi
 
     def a_batch(self, grads: np.ndarray) -> np.ndarray:
         """Flux a(x, grad) at every point; grads has shape (npoints, dim)."""
@@ -149,11 +130,9 @@ class OperatorFamily:
 
     def A_batch(self, t, points=None) -> np.ndarray:
         """A(x_i, t_i) for per-point upper limits t (finite, t >= 0)."""
-        t = np.asarray(t, dtype=float)
+        t, idx = self._align(t, points)
         if not np.all(np.isfinite(t) & (t >= 0.0)):
             raise ValueError("the primitive is defined for finite t >= 0")
-        idx = np.arange(self.npoints) if points is None else np.asarray(points)
-        t, idx = np.broadcast_arrays(t, idx)
         return self._A(t, idx)
 
     # -- subclass hooks --------------------------------------------------
@@ -169,19 +148,20 @@ class OperatorFamily:
 
 
 class MultiphaseFamily(OperatorFamily):
-    def __init__(self, exponents, weights, alpha, p_lower):
-        ell = len(exponents)
+    """Weighted power sums; ``d0``, ``d0_tilde`` are the caller-supplied
+    coercivity constants, None when not supplied."""
+
+    def __init__(self, exponents, weights, alpha, p_lower, d0, d0_tilde):
         super().__init__(
-            kind="multiphase",
-            npoints=exponents[0].values.shape[0],
             r_order=alpha,
             strict_flag=alpha < p_lower,
-            homogeneous_flag=(ell == 1),
+            homogeneous_flag=(len(exponents) == 1),
             exponent=ExponentField(np.max([p.values for p in exponents], axis=0)),
-            params={"ell": ell, "alpha": alpha, "p_lower": p_lower},
         )
         self.exponents = tuple(exponents)
         self.weights = tuple(weights)
+        self.d0 = d0
+        self.d0_tilde = d0_tilde
 
     def _phi(self, s, idx):
         out = np.zeros_like(s)
@@ -206,15 +186,8 @@ class MultiphaseFamily(OperatorFamily):
 
 class ImageFamily(OperatorFamily):
     def __init__(self, p, eps, delta, alpha):
-        super().__init__(
-            kind="image",
-            npoints=p.values.shape[0],
-            r_order=alpha,
-            strict_flag=True,
-            homogeneous_flag=False,
-            exponent=p,
-            params={"eps": eps, "delta": delta, "alpha": alpha},
-        )
+        super().__init__(r_order=alpha, strict_flag=True, homogeneous_flag=False,
+                         exponent=p)
         self.p = p
         self.eps = float(eps)
         self.delta = float(delta)
@@ -289,7 +262,7 @@ def make_multiphase(exponents, weights, alpha: float | None = None,
         The ratio is strictly increasing exactly when alpha is below that
         minimum.  Defaults to the midpoint of (1, min p).
     d0, d0_tilde : float, optional
-        Caller-supplied coercivity constants, stored in ``params`` for the
+        Caller-supplied coercivity constants, stored on the family for the
         validators; by default the checks fall back to (min w / p+, 0).
     """
     exponents = list(exponents)
@@ -312,12 +285,9 @@ def make_multiphase(exponents, weights, alpha: float | None = None,
     alpha = float(alpha)
     if not 1.0 < alpha <= p_lower:
         raise ValueError(f"alpha must lie in (1, {p_lower}], got {alpha}")
-    fam = MultiphaseFamily(exponents, warr, alpha, p_lower)
-    if d0 is not None:
-        fam.params["d0"] = float(d0)
-    if d0_tilde is not None:
-        fam.params["d0_tilde"] = float(d0_tilde)
-    return fam
+    return MultiphaseFamily(exponents, warr, alpha, p_lower,
+                            None if d0 is None else float(d0),
+                            None if d0_tilde is None else float(d0_tilde))
 
 
 def make_image_operator(p: ExponentField, eps: float, delta: float,
@@ -448,7 +418,7 @@ def image_growth_constant(fam: ImageFamily) -> dict:
     takes C = the golden-section maximum of R on [eps, eps~], and returns
     b = max(C^delta, ln^delta(1+eps)).
     """
-    if fam.kind != "image":
+    if not isinstance(fam, ImageFamily):
         raise ValueError("growth constant applies to the image family")
     eps, delta, alpha = fam.eps, fam.delta, fam.alpha
     q = (fam.p.p_minus - alpha) / delta
@@ -494,7 +464,7 @@ def image_coercivity_constants(fam: ImageFamily, volume: float) -> tuple:
     Both cases give A(x, t) >= c1 t^alpha - c1 eps^alpha, and integrating over
     the box of the given volume yields c2 = c1 eps^alpha volume.
     """
-    if fam.kind != "image":
+    if not isinstance(fam, ImageFamily):
         raise ValueError("coercivity constants apply to the image family")
     eps, delta, alpha = fam.eps, fam.delta, fam.alpha
     kmin = float(np.min(eps ** (fam.p.values - alpha)))

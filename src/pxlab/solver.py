@@ -110,10 +110,7 @@ def discrete_residual(fam: OperatorFamily, src: SourceFamily, U, grid: Grid) -> 
     flux term.
     """
     jets = discrete_gradient(U, grid)
-    flux = fam.a_batch(jets.grads) * grid.quad_weights[:, None]
-    res = np.zeros(grid.n)
-    for axis in range(grid.dim):
-        res += _centered_diff_adjoint(flux[:, axis].reshape(grid.n), grid.h[axis], axis)
+    res = _stencil_adjoint(fam.a_batch(jets.grads) * grid.quad_weights[:, None], grid)
     res -= (grid.quad_weights * src.fbar_vals(jets.values)).reshape(grid.n)
     return GridFunction(res)
 
@@ -142,12 +139,18 @@ def discrete_hessian(fam: OperatorFamily, src: SourceFamily, U, grid: Grid):
 
     def apply(v):
         flux = np.matmul(jac, discrete_gradient(v, grid).grads[:, :, None])[:, :, 0]
-        out = np.zeros(grid.n)
-        for axis in range(grid.dim):
-            out += _centered_diff_adjoint(flux[:, axis].reshape(grid.n), grid.h[axis], axis)
-        return out.ravel() + diag * v.ravel()
+        return _stencil_adjoint(flux, grid).ravel() + diag * v.ravel()
 
     return apply
+
+
+def _stencil_adjoint(flux, grid: Grid) -> np.ndarray:
+    """D^T flux: the adjoint stencil applied to per-point vectors of shape
+    (npoints, dim), summed over the axes, on the grid's node shape."""
+    out = np.zeros(grid.n)
+    for axis in range(grid.dim):
+        out += _centered_diff_adjoint(flux[:, axis].reshape(grid.n), grid.h[axis], axis)
+    return out
 
 
 def residual_norm(res, grid: Grid) -> float:

@@ -21,7 +21,8 @@ class SourceFamily:
     gamma : float
         Lipschitz constant of f(x, .) on [0, 1].
     lambda0 : float
-        Constant above gamma making s -> f(x, s) + lambda0 s strictly increasing.
+        lambda0 = gamma + 1, which makes s -> f(x, s) + lambda0 s strictly
+        increasing.
     alpha : float
         Root order used by the concavity-type ratio checks, in (1, 2].
     strict13_flag : bool
@@ -29,32 +30,24 @@ class SourceFamily:
         strictly decreasing; requires alpha < 2.
     """
 
-    def __init__(self, kind, npoints, gamma, lambda0, alpha, strict13_flag, params):
+    def __init__(self, npoints, gamma, alpha, strict13_flag):
         if gamma <= 0.0:
             raise ValueError("gamma must be positive")
-        if lambda0 <= gamma:
-            raise ValueError("lambda0 must exceed gamma")
         if not 1.0 < alpha <= 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
         if strict13_flag and alpha >= 2.0:
             raise ValueError("a strict ratio claim requires alpha < 2")
-        self.kind = kind
         self.npoints = int(npoints)
         self.gamma = float(gamma)
-        self.lambda0 = float(lambda0)
+        self.lambda0 = self.gamma + 1.0
         self.alpha = float(alpha)
         self.strict13_flag = bool(strict13_flag)
-        self.params = dict(params)
 
     # -- on [0, 1] --------------------------------------------------------
 
     def f_vals(self, s, points=None):
         s, idx = self._align(s, points)
         return self._f(s, idx)
-
-    def F_vals(self, s, points=None):
-        s, idx = self._align(s, points)
-        return self._F(s, idx)
 
     # -- extension to the real line ---------------------------------------
 
@@ -111,11 +104,7 @@ class PowerSource(SourceFamily):
         if gamma == 0.0:
             gamma = 1.0  # any positive constant bounds the zero source
         strict = bool(alpha < 2.0 and np.min(r1 + r2) > 0.0)
-        super().__init__(
-            kind="power", npoints=npts, gamma=gamma, lambda0=gamma + 1.0,
-            alpha=alpha, strict13_flag=strict,
-            params={"r1": r1, "r2": r2, "q1": q1, "q2": q2},
-        )
+        super().__init__(npoints=npts, gamma=gamma, alpha=alpha, strict13_flag=strict)
         self.r1, self.r2, self.q1, self.q2 = r1, r2, q1, q2
 
     def _f(self, s, idx):
@@ -136,11 +125,8 @@ class FidelitySource(SourceFamily):
     """Data-fidelity source f(x, s) = mu (g(x) - s) pulling toward g."""
 
     def __init__(self, g, mu, alpha):
-        super().__init__(
-            kind="fidelity", npoints=g.shape[0], gamma=float(mu),
-            lambda0=float(mu) + 1.0, alpha=alpha, strict13_flag=True,
-            params={"mu": float(mu)},
-        )
+        super().__init__(npoints=g.shape[0], gamma=float(mu), alpha=alpha,
+                         strict13_flag=True)
         self.g = g
         self.mu = float(mu)
 

@@ -105,6 +105,47 @@ def test_bad_operator_kind_is_config_error(tmp_path):
                  "--output", str(tmp_path / "out")]) == 2
 
 
+_SMALL = {"grid": {"dim": 1, "n": 8}, "operator": {"kind": "single", "p": 2.0},
+          "source": {"kind": "power"}}
+_FIELDS = {"w1": {"name": "constant", "params": {"c": 1.0}},
+           "w2": {"name": "exp-linear", "params": {"k": 0.8}}}
+
+# command and config of each bad configuration; "bad.pgm" has a truncated header
+BAD_CONFIGS = {
+    "denoise-p-below-one": ("denoise", {"denoise": {"n": 8, "p": 0.9}}),
+    "denoise-ramp-without-to": (
+        "denoise", {"denoise": {"n": 8, "p": {"kind": "ramp", "from": 1.8}}}),
+    "denoise-image-too-small": ("denoise", {"denoise": {"n": 2}}),
+    "denoise-missing-pgm": ("denoise", {"denoise": {"input": "missing.pgm"}}),
+    "denoise-malformed-pgm": ("denoise", {"denoise": {"input": "bad.pgm"}}),
+    "uniqueness-init-outside-unit": ("uniqueness", _SMALL | {"inits": [0.2, 1.5]}),
+    "inequality-zero-trials": ("inequality", {"trials": 0}),
+    "path-scan-unknown-field": (
+        "path-scan", _SMALL | {"fields": _FIELDS | {"w1": {"name": "no-such-field"}}}),
+    "config-not-an-object": ("check-hypotheses", [_SMALL]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2_with_error_json(tmp_path, monkeypatch, case):
+    command, cfg = BAD_CONFIGS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.pgm").write_bytes(b"P5\n3 3\n")
+    path = _write_cfg(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--output", "out"]) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["command"] == command and err["error"]
+
+
+def test_error_json_goes_to_the_configured_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_cfg(tmp_path, "bad.json", _SMALL | {
+        "operator": {"kind": "tensor"}, "output": {"dir": "reports"}})
+    assert main(["check-hypotheses", "--config", cfg]) == 2
+    assert json.loads((tmp_path / "reports" / "error.json").read_text())["error"]
+    assert not (tmp_path / "error.json").exists()
+
+
 def test_check_hypotheses_command(tmp_path):
     cfg = _write_cfg(tmp_path, "cfg.json", {
         "grid": {"dim": 1, "n": 16},

@@ -79,7 +79,7 @@ def test_scalar_gap_with_operator_profile():
     grid = grid_1d(16)
     fam = image_op(grid, alpha=1.5)
     def phi(s):
-        return fam.phi_at(3, s)
+        return float(fam.phi([s], points=[3])[0])
 
     case = scalar_gap(phi, 1.5, 0.8, 1.7, 2.0, 0.4)
     assert case.gap >= -1e-12 * max(1.0, abs(case.lhs))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from pxlab import (check_homogeneity, exponent_field,
+from pxlab import (ExponentField, check_homogeneity, exponent_field,
                    image_coercivity_constants, image_growth_constant,
                    make_image_operator, make_multiphase)
 
@@ -25,28 +25,53 @@ def test_exponent_field_validation(grid):
     assert p.meets_embedding_bound(2)
     q = exponent_field(grid, 1.05)
     assert not q.meets_embedding_bound(3)  # 2N/(N+2) = 1.2 in 3D
+    # the extremes are derived from the values, never passed in
+    with pytest.raises(TypeError):
+        ExponentField(np.full(grid.npoints, 2.0), p_minus=1.5)
+    r = ExponentField(np.linspace(1.5, 2.5, grid.npoints))
+    assert (r.p_minus, r.p_plus) == (1.5, 2.5)
 
 
-def test_a_eval_examples(grid):
-    fam2 = single_phase(grid, 2.0)
-    assert np.all(fam2.a_eval(0, [0.0, 0.0]) == 0.0)
-    assert np.allclose(fam2.a_eval(0, [3.0, 4.0]), [3.0, 4.0], rtol=1e-14)
-    fam3 = single_phase(grid, 3.0)
+def test_a_batch_examples(grid):
+    grads = np.tile([[0.0, 0.0], [3.0, 4.0]], (grid.npoints // 2, 1))
+    a2 = single_phase(grid, 2.0).a_batch(grads)
+    assert np.all(a2[0::2] == 0.0)
+    assert np.allclose(a2[1::2], [3.0, 4.0], rtol=1e-14)
     # |xi| = 5 and the power profile gives |xi|^(p-2) xi
-    assert np.allclose(fam3.a_eval(0, [3.0, 4.0]), [15.0, 20.0], rtol=1e-14)
+    a3 = single_phase(grid, 3.0).a_batch(grads)
+    assert np.allclose(a3[1::2], [15.0, 20.0], rtol=1e-14)
 
 
 def test_flux_identities(grid):
     rng = np.random.default_rng(1)
     for fam in (single_phase(grid, 2.5), two_phase(grid), image_op(grid)):
-        for _ in range(20):
-            xi = rng.standard_normal(2) * 10 ** rng.uniform(-2, 2)
-            i = int(rng.integers(0, grid.npoints))
-            a = fam.a_eval(i, xi)
-            norm = np.linalg.norm(xi)
-            phi = fam.phi_at(i, norm)
-            assert np.dot(a, xi) == pytest.approx(phi * norm, rel=1e-12, abs=1e-300)
-            assert np.linalg.norm(a) == pytest.approx(phi, rel=1e-12, abs=1e-300)
+        for _ in range(2):
+            xi = rng.standard_normal((grid.npoints, 2)) \
+                * 10 ** rng.uniform(-2, 2, (grid.npoints, 1))
+            a = fam.a_batch(xi)
+            norm = np.linalg.norm(xi, axis=1)
+            phi = fam.phi(norm)
+            assert np.allclose(np.sum(a * xi, axis=1), phi * norm, rtol=1e-12, atol=1e-300)
+            assert np.allclose(np.linalg.norm(a, axis=1), phi, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: single_phase(g, 1.5), two_phase, lambda g: image_op(g, p=1.7, alpha=1.3)])
+def test_psi_and_flux_vanish_exactly_at_zero(grid, make):
+    # a batch mixing zero and positive magnitudes, with profiles that grow
+    # slower than s at 0 (p < 2) among them: 0 at zero, Phi/s elsewhere
+    fam = make(grid)
+    zero = np.arange(grid.npoints) % 3 == 0
+    s = np.where(zero, 0.0, np.geomspace(1e-6, 1e3, grid.npoints))
+    psi = fam.psi(s)
+    assert np.all(psi[zero] == 0.0)
+    assert np.array_equal(psi[~zero], fam.phi(s)[~zero] / s[~zero])
+    grads = s[:, None] * np.array([0.6, -0.8])
+    norms = np.sqrt(np.sum(grads * grads, axis=1))
+    a = fam.a_batch(grads)
+    assert np.all(a[zero] == 0.0)
+    expected = (fam.phi(norms) / np.where(zero, 1.0, norms))[:, None] * grads
+    assert np.array_equal(a[~zero], expected[~zero])
 
 
 def test_A_eval_examples(grid):
@@ -70,10 +95,11 @@ def test_A_eval_nondecreasing(grid):
 
 def test_image_profile_examples(grid):
     fam = image_op(grid, p=2.0, eps=1.0, delta=1.0, alpha=1.5)
+    at_threshold, at_zero, above = fam.phi([1.0, 0.0, 4.0], points=[0, 0, 0])
     # both branches agree at the threshold
-    assert fam.phi_at(0, 1.0) == pytest.approx(math.log(2.0), rel=1e-14)
-    assert fam.phi_at(0, 0.0) == 0.0
-    assert fam.phi_at(0, 4.0) == pytest.approx(2.0 * math.log(5.0), rel=1e-14)
+    assert at_threshold == pytest.approx(math.log(2.0), rel=1e-14)
+    assert at_zero == 0.0
+    assert above == pytest.approx(2.0 * math.log(5.0), rel=1e-14)
 
 
 def test_image_primitive_against_scipy(grid):
@@ -218,7 +244,7 @@ def test_make_multiphase_validation(grid):
 
 def test_two_phase_profile_sum(grid):
     fam = two_phase(grid)
-    assert fam.phi_at(0, 2.0) == pytest.approx(2.0 + 4.0, rel=1e-14)
+    assert fam.phi([2.0], points=[0])[0] == pytest.approx(2.0 + 4.0, rel=1e-14)
     assert not fam.homogeneous_flag
     assert fam.strict_flag
 
@@ -242,7 +268,8 @@ def test_homogeneity_flags(grid):
     rep2 = check_homogeneity(both, samples=150, seed=0)
     assert not rep2.is_A_homog and not rep2.is_Phi_homog and rep2.agree
     # direct witness: Phi(2*1) = 6 but 2^(p-1) Phi(1) = 8 for the family exponent
-    assert both.phi_at(0, 2.0) != pytest.approx(2.0 ** 2 * both.phi_at(0, 1.0))
+    phi2, phi1 = both.phi([2.0, 1.0], points=[0, 0])
+    assert phi2 != pytest.approx(2.0 ** 2 * phi1)
 
     img = image_op(grid)
     rep3 = check_homogeneity(img, samples=150, seed=0)
@@ -261,9 +288,9 @@ def test_homogeneity_deterministic(grid):
 def test_multiphase_stores_supplied_coercivity_constants(grid):
     p2 = exponent_field(grid, 2.0)
     fam = make_multiphase([p2], [1.0], alpha=1.5, d0=0.25, d0_tilde=3.0)
-    assert fam.params["d0"] == 0.25 and fam.params["d0_tilde"] == 3.0
+    assert fam.d0 == 0.25 and fam.d0_tilde == 3.0
     bare = make_multiphase([p2], [1.0], alpha=1.5)
-    assert "d0" not in bare.params
+    assert bare.d0 is None and bare.d0_tilde is None
 
 
 def test_strict_ratio_ladder_margin(grid):
@@ -271,7 +298,7 @@ def test_strict_ratio_ladder_margin(grid):
     for fam in (two_phase(grid, alpha=1.5), image_op(grid, alpha=1.5)):
         s = np.sort(np.exp(rng.uniform(np.log(1e-4), np.log(50.0), 32)))
         for i in (0, grid.npoints // 2):
-            ratio = np.array([fam.phi_at(i, v) / v ** (fam.r_order - 1.0) for v in s])
+            ratio = fam.phi(s, points=np.full(s.size, i)) / s ** (fam.r_order - 1.0)
             assert np.all(np.diff(ratio) > 0.0)
 
 
@@ -282,7 +309,7 @@ def test_growth_bound(grid, p, eps, delta, alpha):
     b = image_growth_constant(fam)["b"]
     s = np.exp(np.linspace(np.log(1e-6), np.log(1e4), 400))
     for i in (0, 7):
-        phi = np.array([fam.phi_at(i, v) for v in s])
+        phi = fam.phi(s, points=np.full(s.size, i))
         assert np.all(phi <= b * s ** (p - 1.0) * (1 + 1e-12))
 
 

@@ -31,7 +31,9 @@ def test_extension_matches_f_and_F_inside(linear_decay):
     s = rng.uniform(0.0, 1.0, 50)
     pts = rng.integers(0, N, 50)
     assert np.array_equal(linear_decay.fbar_vals(s, pts), linear_decay.f_vals(s, pts))
-    assert np.array_equal(linear_decay.Fbar_vals(s, pts), linear_decay.F_vals(s, pts))
+    # F(x, s) = -s^2/2 for f = -s, up to the rounding of the power s**2
+    assert np.allclose(linear_decay.Fbar_vals(s, pts), -0.5 * s * s,
+                       rtol=2 * np.finfo(float).eps, atol=0.0)
 
 
 @pytest.mark.parametrize("src_name", ["power", "fidelity", "zero"])
@@ -127,8 +129,8 @@ def test_strict_claim_requires_alpha_below_two():
             return -0.5 * s * s
 
     with pytest.raises(ValueError):
-        Dummy("dummy", N, 1.0, 2.0, 2.0, True, {})
-    Dummy("dummy", N, 1.0, 2.0, 2.0, False, {})
+        Dummy(N, 1.0, 2.0, True)
+    assert Dummy(N, 1.0, 2.0, False).lambda0 == 2.0
 
 
 def test_alpha_two_power_source_not_strict():
