@@ -9,8 +9,8 @@ from .operators import (ExponentField, OperatorFamily, check_homogeneity,
                         exponent_field, image_coercivity_constants,
                         image_growth_constant, make_image_operator,
                         make_multiphase)
-from .sources import (SourceFamily, check_source_props, make_fidelity_source,
-                      make_power_source, make_zero_source)
+from .sources import (SourceFamily, make_fidelity_source, make_power_source,
+                      make_zero_source)
 from .hypotheses import (HypothesisReport, check_coercivity, check_exponent,
                          check_growth, check_limit_monotone,
                          check_monotone_ratio, check_source_hypotheses,

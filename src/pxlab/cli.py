@@ -22,9 +22,8 @@ import numpy as np
 from . import hypotheses as hyp
 from . import inequality as ineq
 from .grid import AnalyticFieldSpec, Grid, build_grid, sample_jet
-from .operators import (ExponentField, ImageFamily, OperatorFamily, exponent_field,
-                        image_coercivity_constants, image_growth_constant,
-                        check_homogeneity, make_image_operator, make_multiphase)
+from .operators import (ExponentField, OperatorFamily, check_homogeneity, exponent_field,
+                        make_image_operator, make_multiphase)
 from .path import beta_scan, make_path
 from .solver import (SolveConfig, minimize, synthetic_image, uniqueness_experiment,
                      verify_weak_solution)
@@ -137,8 +136,9 @@ def _exponent(grid: Grid, spec) -> ExponentField:
     raise ConfigError(f"bad exponent spec: {spec!r}")
 
 
-def _build_operator(cfg: dict, grid: Grid, alpha: float) -> OperatorFamily:
+def _build_operator(cfg: dict, grid: Grid) -> OperatorFamily:
     op = cfg.get("operator", {})
+    alpha = cfg["alpha"]
     kind = op.get("kind")
     d0 = op.get("d0")
     d0t = op.get("d0_tilde")
@@ -160,8 +160,9 @@ def _build_operator(cfg: dict, grid: Grid, alpha: float) -> OperatorFamily:
     raise ConfigError(f"operator kind must be single, multiphase, or image, got {kind!r}")
 
 
-def _build_source(cfg: dict, grid: Grid, alpha: float, g_data=None) -> SourceFamily:
+def _build_source(cfg: dict, grid: Grid) -> SourceFamily:
     src = cfg.get("source", {})
+    alpha = cfg["alpha"]
     kind = src.get("kind")
     try:
         if kind == "power":
@@ -169,23 +170,27 @@ def _build_source(cfg: dict, grid: Grid, alpha: float, g_data=None) -> SourceFam
                                      src.get("q1", 1.0), src.get("q2", 1.0),
                                      npoints=grid.npoints, alpha=alpha)
         if kind == "fidelity":
-            if g_data is None:
-                g_spec = src.get("g", 0.5)
-                if isinstance(g_spec, (int, float)):
-                    g_data = np.full(grid.npoints, float(g_spec))
-                elif g_spec == "synthetic":
-                    if grid.dim != 2 or grid.n[0] != grid.n[1]:
-                        raise ConfigError("synthetic data needs a square 2D grid")
-                    g_data = synthetic_image(grid.n[0], seed=int(src.get("g_seed", 7)))
-                else:
-                    raise ConfigError(f"bad fidelity data spec: {g_spec!r}")
-            return make_fidelity_source(np.asarray(g_data).ravel(),
-                                        float(src.get("mu", 1.0)), alpha)
+            g_spec = src.get("g", 0.5)
+            if isinstance(g_spec, (int, float)):
+                g_data = np.full(grid.npoints, float(g_spec))
+            elif g_spec == "synthetic":
+                if grid.dim != 2 or grid.n[0] != grid.n[1]:
+                    raise ConfigError("synthetic data needs a square 2D grid")
+                g_data = synthetic_image(grid.n[0], seed=int(src.get("g_seed", 7)))
+            else:
+                raise ConfigError(f"bad fidelity data spec: {g_spec!r}")
+            return make_fidelity_source(g_data.ravel(), float(src.get("mu", 1.0)), alpha)
         if kind == "zero":
             return make_zero_source(grid.npoints, alpha=alpha)
     except (KeyError, ValueError) as e:
         raise ConfigError(f"bad source spec: {e}") from e
     raise ConfigError(f"source kind must be power, fidelity, or zero, got {kind!r}")
+
+
+def _build_problem(cfg: dict) -> tuple:
+    """The grid, operator family and source a config describes."""
+    grid = _build_grid(cfg)
+    return grid, _build_operator(cfg, grid), _build_source(cfg, grid)
 
 
 def _field_spec(d: dict) -> AnalyticFieldSpec:
@@ -255,50 +260,9 @@ def _jsonable(obj):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _hypothesis_gate(fam, src, grid, seed: int) -> tuple:
-    """Run every validator a family and source claim; returns (report, ok)."""
-    rep = hyp.check_limit_monotone(fam, seed=seed)
-    if isinstance(fam, ImageFamily):
-        b = image_growth_constant(fam)["b"]
-        growth = hyp.check_growth(fam, 0.0, b, seed=seed)
-        growth.checks["H6"].note = f"fitted b = {b}"
-    else:
-        wsum = sum(float(np.max(w)) for w in fam.weights)
-        growth = hyp.check_growth(fam, wsum, wsum, seed=seed)
-    rep = rep.merge(growth)
-    rep = rep.merge(hyp.check_monotone_ratio(fam, fam.r_order, fam.strict_flag, seed=seed))
-    fields = hyp.default_trial_fields(grid, seed=seed)
-    if isinstance(fam, ImageFamily):
-        c1, c2 = image_coercivity_constants(fam, grid.volume)
-        coer = hyp.check_coercivity(fam, "alpha", fields, grid, c1=c1, c2=c2)
-        probe = hyp.check_coercivity(fam, "pX", fields, grid, d0=1.0, d0_tilde=0.0)
-        probe.checks["H8-pX"].note = "expected to fail: the profile grows at the alpha rate"
-        rep = rep.merge(coer)
-        gate_names = [n for n in rep.checks]
-        rep = rep.merge(probe)
-    else:
-        omega = min(float(np.min(w)) for w in fam.weights)
-        d0 = omega / fam.exponent.p_plus if fam.d0 is None else fam.d0
-        d0t = 0.0 if fam.d0_tilde is None else fam.d0_tilde
-        coer = hyp.check_coercivity(fam, "pX", fields, grid, d0=d0, d0_tilde=d0t)
-        rep = rep.merge(coer)
-        gate_names = [n for n in rep.checks]
-    src_rep = hyp.check_source_hypotheses(src, seed=seed)
-    gate_src = ["H11", "H12-monotone", "H12-lipschitz", "H13"]
-    if src.strict13_flag:
-        gate_src.append("H13'")
-    rep = rep.merge(src_rep)
-    rep = rep.merge(hyp.check_exponent(fam.exponent, grid.dim))
-    ok = all(rep.checks[n].status == "pass" for n in gate_names + gate_src)
-    return rep, ok
-
-
 def cmd_check_hypotheses(cfg: dict, outdir: Path, seed: int) -> int:
-    grid = _build_grid(cfg)
-    alpha = float(cfg.get("alpha", 1.5))
-    fam = _build_operator(cfg, grid, alpha)
-    src = _build_source(cfg, grid, alpha)
-    rep, ok = _hypothesis_gate(fam, src, grid, seed)
+    grid, fam, src = _build_problem(cfg)
+    rep, ok = hyp.gate(fam, src, grid, seed)
     homog = check_homogeneity(fam, seed=seed)
     results = {
         "hypotheses": rep.to_jsonable(),
@@ -328,15 +292,12 @@ def cmd_inequality(cfg: dict, outdir: Path, seed: int) -> int:
 
 
 def cmd_path_scan(cfg: dict, outdir: Path, seed: int) -> int:
-    grid = _build_grid(cfg)
-    alpha = float(cfg.get("alpha", 1.5))
-    fam = _build_operator(cfg, grid, alpha)
-    src = _build_source(cfg, grid, alpha)
+    grid, fam, src = _build_problem(cfg)
     fields = cfg.get("fields", {})
     try:
         w1 = sample_jet(_field_spec(fields.get("w1")), grid)
         w2 = sample_jet(_field_spec(fields.get("w2")), grid)
-        ctx = make_path(w1, w2, alpha)
+        ctx = make_path(w1, w2, cfg["alpha"])
         scan = beta_scan(ctx, fam, src, grid)
     except (KeyError, ValueError) as e:
         raise ConfigError(str(e)) from e
@@ -361,12 +322,9 @@ def cmd_path_scan(cfg: dict, outdir: Path, seed: int) -> int:
     return 0 if ok else 1
 
 
-def _solve_pipeline(cfg: dict, outdir: Path, seed: int, g_data=None):
-    grid = _build_grid(cfg)
-    alpha = float(cfg.get("alpha", 1.5))
-    fam = _build_operator(cfg, grid, alpha)
-    src = _build_source(cfg, grid, alpha, g_data=g_data)
-    gate, gate_ok = _hypothesis_gate(fam, src, grid, seed)
+def _solve_pipeline(cfg: dict, seed: int):
+    grid, fam, src = _build_problem(cfg)
+    gate, gate_ok = hyp.gate(fam, src, grid, seed)
     init = cfg.get("init", 0.5)
     if isinstance(init, (int, float)):
         init = float(init)
@@ -396,7 +354,7 @@ def _solve_results(gate, gate_ok: bool, result) -> dict:
 
 
 def cmd_solve(cfg: dict, outdir: Path, seed: int) -> int:
-    grid, fam, src, scfg, gate, gate_ok = _solve_pipeline(cfg, outdir, seed)
+    grid, fam, src, scfg, gate, gate_ok = _solve_pipeline(cfg, seed)
     result = minimize(scfg)
     ver = verify_weak_solution(fam, src, result.U, grid, seed=seed,
                                residual_tol=scfg.residual_tol)
@@ -432,7 +390,7 @@ def cmd_uniqueness(cfg: dict, outdir: Path, seed: int) -> int:
         raise ConfigError(f"bad inits: {e}") from e
     if not all(0.0 < v <= 1.0 for v in inits):
         raise ConfigError(f"inits must lie in (0, 1], got {inits}")
-    grid, fam, src, scfg, gate, gate_ok = _solve_pipeline(cfg, outdir, seed)
+    grid, fam, src, scfg, gate, gate_ok = _solve_pipeline(cfg, seed)
     report = uniqueness_experiment(scfg, inits)
     ok = gate_ok and report.get("uniqueness_ok", True)
     results = {"gate_ok": gate_ok, "experiment": _jsonable(report)}
@@ -443,7 +401,6 @@ def cmd_uniqueness(cfg: dict, outdir: Path, seed: int) -> int:
 def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
     d = cfg.get("denoise", {})
     inp = d.get("input", "synthetic")
-    alpha = float(cfg.get("alpha", 1.5))
     try:
         if inp == "synthetic":
             n = int(d.get("n", 32))
@@ -453,11 +410,12 @@ def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
             img = read_pgm(inp)
         grid = build_grid(2, (img.height, img.width), (1.0, img.width / img.height))
         p = _exponent(grid, d.get("p", 2.0))
-        fam = make_image_operator(p, float(d.get("eps", 0.5)), float(d.get("delta", 1.0)), alpha)
-        src = make_fidelity_source(img.values.ravel(), float(d.get("mu", 1.0)), alpha)
+        fam = make_image_operator(p, float(d.get("eps", 0.5)), float(d.get("delta", 1.0)),
+                                  cfg["alpha"])
+        src = make_fidelity_source(img.values.ravel(), float(d.get("mu", 1.0)), cfg["alpha"])
     except (OSError, ValueError) as e:
         raise ConfigError(str(e)) from e
-    gate, gate_ok = _hypothesis_gate(fam, src, grid, seed)
+    gate, gate_ok = hyp.gate(fam, src, grid, seed)
     init = d.get("init", 0.5)
     if init == "input":
         init = np.clip(img.values, 1e-3, 1.0).ravel()
@@ -535,7 +493,11 @@ def main(argv=None) -> int:
     outdir = Path(args.output or ".")
     try:
         cfg = load_config(args.config) if args.config else {}
-        outdir = Path(args.output or cfg.get("output", {}).get("dir", "."))
+        if args.output is None:
+            out = cfg.get("output", {})
+            if not isinstance(out, dict) or not isinstance(out.get("dir", "."), str):
+                raise ConfigError(f"output must be an object with a string dir, got {out!r}")
+            outdir = Path(out.get("dir", "."))
         if args.command == "inequality" and args.trials is not None:
             cfg["trials"] = args.trials
         if args.command == "fixtures":
@@ -543,11 +505,19 @@ def main(argv=None) -> int:
                 cfg["name"] = args.name
             if args.n is not None:
                 cfg["n"] = args.n
+        seeds = cfg.setdefault("seeds", {})
+        if not isinstance(seeds, dict):
+            raise ConfigError(f"seeds must be an object, got {seeds!r}")
         if args.seed is not None:
-            cfg.setdefault("seeds", {})["main"] = args.seed
-        seed = int(cfg.get("seeds", {}).get("main", 0))
-        cfg.setdefault("seeds", {})["main"] = seed
-        cfg.setdefault("alpha", 1.5)
+            seeds["main"] = args.seed
+        try:
+            seed = seeds["main"] = int(seeds.get("main", 0))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad seeds.main: {e}") from e
+        try:
+            cfg["alpha"] = float(cfg.get("alpha", 1.5))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad alpha: {e}") from e
         code = COMMANDS[args.command](cfg, outdir, seed)
     except ConfigError as e:
         err = {"error": str(e), "command": args.command}

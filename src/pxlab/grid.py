@@ -64,10 +64,6 @@ class Grid:
     def volume(self) -> float:
         return float(np.prod(self.extent))
 
-    @property
-    def shape(self) -> tuple:
-        return self.n
-
 
 @dataclass
 class JetField:

@@ -8,8 +8,6 @@ and Fbar is its C^1 antiderivative with Fbar(x, 0) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -188,83 +186,3 @@ def make_zero_source(npoints: int, alpha: float = 1.5) -> SourceFamily:
     z = np.zeros(npoints)
     o = np.ones(npoints)
     return PowerSource(z, z, o, o, float(alpha))
-
-
-# ---------------------------------------------------------------------------
-# structural properties of the extension
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SourcePropsReport:
-    lipschitz_ok: bool
-    monotone_ok: bool
-    convex_ok: bool
-    ratio_ok: bool
-    strict_convex_ok: bool
-    strict_ratio_ok: bool
-    worst: dict
-    seed: int
-
-    def all_nonstrict_pass(self) -> bool:
-        return self.lipschitz_ok and self.monotone_ok and self.convex_ok and self.ratio_ok
-
-
-def check_source_props(src: SourceFamily, lambda_bar: float,
-                       samples: int = 64, seed: int = 0) -> SourcePropsReport:
-    """Sampled verification of the extension's structure.
-
-    Checks, at every point: (1) fbar is gamma-Lipschitz on random pairs;
-    (2) s -> fbar + lambda_bar s is strictly increasing; (3) the map
-    s -> -Fbar(x, s^(1/alpha)) has nonnegative second differences and the
-    ratio fbar(x, s^(1/alpha)) / s^((alpha-1)/alpha) is nonincreasing;
-    (4) the strict variants of (3) with margin 1e-12.
-    """
-    if lambda_bar <= src.gamma:
-        raise ValueError("lambda_bar must exceed gamma")
-    rng = np.random.default_rng(seed)
-    npts = src.npoints
-    alpha = src.alpha
-
-    pts = np.repeat(np.arange(npts), samples)
-    s1 = np.tile(rng.uniform(-3.0, 4.0, size=samples), npts)
-    s2 = np.tile(rng.uniform(-3.0, 4.0, size=samples), npts)
-    lip = np.abs(src.fbar_vals(s1, pts) - src.fbar_vals(s2, pts)) \
-        - src.gamma * np.abs(s1 - s2)
-    lip_worst = float(lip.max())
-
-    ladder = np.sort(rng.uniform(-3.0, 4.0, size=samples))
-    pts_l = np.repeat(np.arange(npts), samples)
-    lad = np.tile(ladder, npts)
-    incr = (src.fbar_vals(lad, pts_l) + lambda_bar * lad).reshape(npts, samples)
-    mono_worst = float(np.diff(incr, axis=1).min())
-
-    # uniform ladder on [0, 4] crosses into the extension branch past s = 1
-    s_lad = np.linspace(0.0, 4.0, samples)
-    pts_m = np.repeat(np.arange(npts), samples)
-    s_m = np.tile(s_lad, npts)
-    neg_comp = (-src.Fbar_vals(s_m ** (1.0 / alpha), pts_m)).reshape(npts, samples)
-    second = np.diff(neg_comp, n=2, axis=1)
-    convex_worst = float(second.min())
-
-    s_pos = s_lad[1:]
-    pts_r = np.repeat(np.arange(npts), samples - 1)
-    s_r = np.tile(s_pos, npts)
-    ratio = (src.fbar_vals(s_r ** (1.0 / alpha), pts_r)
-             / s_r ** ((alpha - 1.0) / alpha)).reshape(npts, samples - 1)
-    ratio_worst = float(np.diff(ratio, axis=1).max())
-
-    return SourcePropsReport(
-        lipschitz_ok=lip_worst <= 1e-12,
-        monotone_ok=mono_worst > 1e-12,
-        convex_ok=convex_worst >= -1e-10,
-        ratio_ok=ratio_worst <= 1e-12,
-        strict_convex_ok=convex_worst > 1e-12,
-        strict_ratio_ok=ratio_worst < -1e-12,
-        worst={
-            "lipschitz": lip_worst,
-            "monotone_min_step": mono_worst,
-            "convex_min_second_diff": convex_worst,
-            "ratio_max_step": ratio_worst,
-        },
-        seed=seed,
-    )

@@ -123,6 +123,9 @@ BAD_CONFIGS = {
     "path-scan-unknown-field": (
         "path-scan", _SMALL | {"fields": _FIELDS | {"w1": {"name": "no-such-field"}}}),
     "config-not-an-object": ("check-hypotheses", [_SMALL]),
+    "seeds-not-an-object": ("check-hypotheses", _SMALL | {"seeds": 5}),
+    "output-not-an-object": ("check-hypotheses", _SMALL | {"output": "out"}),
+    "alpha-not-a-number": ("check-hypotheses", _SMALL | {"alpha": "x"}),
 }
 
 
@@ -132,8 +135,11 @@ def test_bad_config_exits_2_with_error_json(tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.pgm").write_bytes(b"P5\n3 3\n")
     path = _write_cfg(tmp_path, "cfg.json", cfg)
-    assert main([command, "--config", path, "--output", "out"]) == 2
-    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    # --output would skip reading a bad "output"; its error.json lands in the cwd
+    bad_output = case == "output-not-an-object"
+    flags = [] if bad_output else ["--output", "out"]
+    assert main([command, "--config", path] + flags) == 2
+    err = json.loads((tmp_path / ("." if bad_output else "out") / "error.json").read_text())
     assert err["command"] == command and err["error"]
 
 

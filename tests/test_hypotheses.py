@@ -6,8 +6,10 @@ from pxlab import (check_coercivity, check_exponent, check_growth,
                    check_source_hypotheses, default_trial_fields,
                    exponent_field, image_coercivity_constants,
                    image_growth_constant)
+from pxlab.hypotheses import _ladder_check, gate
+from pxlab.sources import FidelitySource
 
-from util import fidelity_src, grid_1d, image_op, power_src, single_phase, \
+from util import fidelity_src, grid_1d, grid_2d, image_op, power_src, single_phase, \
     two_phase, zero_src
 
 
@@ -134,3 +136,77 @@ def test_exponent_report(grid):
     assert rep.checks["H2-bounds"].status == "pass"
     assert rep.checks["H2-embedding"].status == "pass"
     assert rep.checks["H2-log-holder"].status == "not-checked"
+
+
+LADDER = np.array([1.0, 2.0, 3.0, 4.0])
+# increasing rows; each decreasing case negates them
+ROWS = {
+    "strict": np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 4.0, 8.0]]),
+    "flat": np.array([[0.0, 1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0]]),
+    "violated": np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 1.5, 3.0]]),
+}
+# (rows, strict check) -> status, note, witness, worst step of the increasing rows
+LADDER_TABLE = {
+    ("strict", True): ("pass", "", None, 1.0),
+    ("strict", False): ("pass", "", None, 1.0),
+    ("flat", True): ("fail", "non-strict", (0, 2.0, 3.0), 0.0),
+    ("flat", False): ("pass", "non-strict", None, 0.0),
+    ("violated", True): ("fail", "", (1, 2.0, 3.0), -0.5),
+    ("violated", False): ("fail", "", (1, 2.0, 3.0), -0.5),
+}
+
+
+@pytest.mark.parametrize("decreasing", [False, True])
+@pytest.mark.parametrize("rows, strict", sorted(LADDER_TABLE))
+def test_ladder_classifier_table(rows, strict, decreasing):
+    status, note, witness, worst = LADDER_TABLE[rows, strict]
+    mat = -ROWS[rows] if decreasing else ROWS[rows]
+    res = _ladder_check(mat, LADDER, decreasing=decreasing, strict=strict)
+    assert (res.status, res.note, res.witness) == (status, note, witness)
+    # the smallest step of an increasing check, the largest of a decreasing one
+    assert res.worst == (-worst if decreasing else worst)
+
+
+class SteepAboveOne(FidelitySource):
+    """Fidelity source whose extension falls with slope 2 gamma above s = 1."""
+
+    def fbar_vals(self, s, points=None):
+        return super().fbar_vals(s, points) - self.gamma * np.maximum(np.asarray(s) - 1.0, 0.0)
+
+    def Fbar_vals(self, s, points=None):
+        over = np.maximum(np.asarray(s) - 1.0, 0.0)
+        return super().Fbar_vals(s, points) - 0.5 * self.gamma * over * over
+
+
+def test_gate_fails_an_extension_steeper_than_gamma(grid):
+    src = SteepAboveOne(np.full(grid.npoints, 0.5), 1.0, 1.5)
+    rep, ok = gate(single_phase(grid, 2.0), src, grid, seed=1)
+    # f itself satisfies every hypothesis on [0, 1] ...
+    assert rep.passed("H11", "H12-monotone", "H12-lipschitz", "H13", "H13'")
+    # ... but its extension is not gamma-Lipschitz, and fbar + lambda0 s falls
+    assert not ok
+    for name in ("ext-lipschitz", "ext-monotone"):
+        check = rep.checks[name]
+        assert check.status == "fail"
+        _, s_lo, s_hi = check.witness
+        assert 1.0 <= s_lo < s_hi
+
+
+OPERATORS = {"single": single_phase, "multiphase": two_phase, "image": image_op}
+SOURCES = {
+    "power": lambda n: power_src(n, r1=1.0, q1=2.0, r2=0.5, q2=1.0),
+    # f = -0.3 s attains its bound: fbar + gamma s is 0 above 1, up to rounding
+    "power-linear": lambda n: power_src(n, r1=0.3, q1=1.0),
+    "fidelity": lambda n: fidelity_src(n, g=np.linspace(0.0, 1.0, n), mu=1.3),
+    "zero": zero_src,
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("op_kind", sorted(OPERATORS))
+@pytest.mark.parametrize("src_kind", sorted(SOURCES))
+def test_gate_passes_every_builtin_pair(dim, op_kind, src_kind):
+    g = grid_1d(16) if dim == 1 else grid_2d(8)
+    rep, ok = gate(OPERATORS[op_kind](g), SOURCES[src_kind](g.npoints), g, seed=4)
+    assert ok
+    assert rep.passed("ext-lipschitz", "ext-monotone", "ext-convex", "ext-ratio")

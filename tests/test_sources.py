@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pxlab import check_source_props, make_fidelity_source, make_power_source
+from pxlab import check_source_hypotheses, make_fidelity_source, make_power_source
 from pxlab.sources import SourceFamily
 
 from util import fidelity_src, power_src, zero_src
@@ -138,24 +138,25 @@ def test_alpha_two_power_source_not_strict():
     assert not src.strict13_flag
 
 
+EXTENSION_CHECKS = ("ext-lipschitz", "ext-monotone", "ext-convex", "ext-ratio")
+
+
 def test_source_props_linear(linear_decay):
-    rep = check_source_props(linear_decay, 2.0, seed=3)
-    assert rep.all_nonstrict_pass()
-    assert rep.strict_convex_ok and rep.strict_ratio_ok
+    rep = check_source_hypotheses(linear_decay, seed=3)
+    assert rep.passed(*EXTENSION_CHECKS)
+    # -Fbar(s^(1/alpha)) = s^(4/3) / 2 and the ratio -s^(1/3): both strict
+    assert rep.checks["ext-convex"].note == "" and rep.checks["ext-ratio"].note == ""
 
 
 def test_source_props_zero():
-    rep = check_source_props(zero_src(N), 2.0, seed=3)
-    assert rep.all_nonstrict_pass()
-    assert not rep.strict_convex_ok and not rep.strict_ratio_ok
+    rep = check_source_hypotheses(zero_src(N), seed=3)
+    assert rep.passed(*EXTENSION_CHECKS)
+    # flat on [0, 1]: convex and nonincreasing, but not strictly
+    assert rep.checks["ext-convex"].note == "non-strict"
+    assert rep.checks["ext-ratio"].note == "non-strict"
 
 
 def test_source_props_fidelity():
-    rep = check_source_props(fidelity_src(N, g=0.5, mu=1.0, alpha=1.5), 2.0, seed=3)
-    assert rep.all_nonstrict_pass()
-    assert rep.strict_ratio_ok
-
-
-def test_source_props_requires_lambda_above_gamma(linear_decay):
-    with pytest.raises(ValueError):
-        check_source_props(linear_decay, 0.5)
+    rep = check_source_hypotheses(fidelity_src(N, g=0.5, mu=1.0, alpha=1.5), seed=3)
+    assert rep.passed(*EXTENSION_CHECKS)
+    assert rep.checks["ext-ratio"].note == ""
