@@ -67,7 +67,11 @@ class Grid:
 
 @dataclass
 class JetField:
-    """Per-quadrature-point samples (value, gradient) of a scalar field."""
+    """Per-quadrature-point samples (value, gradient) of a scalar field.
+
+    values has shape (..., npoints) and grads (..., npoints, dim); leading
+    axes stack several fields of the same grid (rows of a batch).
+    """
 
     values: np.ndarray
     grads: np.ndarray
@@ -75,20 +79,20 @@ class JetField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.grads = np.asarray(self.grads, dtype=float)
-        if self.grads.ndim != 2 or self.grads.shape[0] != self.values.shape[0]:
+        if self.values.ndim < 1 or self.grads.shape[:-1] != self.values.shape:
             raise ValueError(
                 f"grads shape {self.grads.shape} inconsistent with "
-                f"{self.values.shape[0]} values"
+                f"values shape {self.values.shape}"
             )
         if not np.all(np.isfinite(self.values)) or not np.all(np.isfinite(self.grads)):
             raise ValueError("jet field contains non-finite entries")
 
     @property
     def npoints(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def grad_norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.grads * self.grads, axis=1))
+        return np.sqrt(np.sum(self.grads * self.grads, axis=-1))
 
 
 @dataclass
@@ -145,12 +149,20 @@ def build_grid(dim: int, n, extent=1.0) -> Grid:
     return Grid(dim=dim, extent=exts, n=ns, h=hs, quad_points=points, quad_weights=weights)
 
 
-def integrate(values, grid: Grid) -> float:
-    """Quadrature sum over the grid; exact accumulation in ascending point order."""
+def integrate(values, grid: Grid):
+    """Quadrature sum over the grid, exactly rounded (``math.fsum``).
+
+    values has shape (..., npoints); a 1-D input gives a float and a
+    stacked one an array holding one sum per row.
+    """
     values = np.asarray(values, dtype=float)
-    if values.shape != (grid.npoints,):
+    if values.shape[-1:] != (grid.npoints,):
         raise ValueError(f"expected {grid.npoints} values, got shape {values.shape}")
-    return math.fsum(grid.quad_weights * values)
+    weighted = grid.quad_weights * values
+    if weighted.ndim == 1:
+        return math.fsum(weighted)
+    rows = weighted.reshape(-1, grid.npoints).tolist()
+    return np.array([math.fsum(r) for r in rows]).reshape(values.shape[:-1])
 
 
 def discrete_gradient(u, grid: Grid) -> JetField:
@@ -194,9 +206,13 @@ def _centered_diff_adjoint(cell: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(r, 0, axis)
 
 
-def jet_linear(a: float, w1: JetField, b: float, w2: JetField) -> JetField:
-    """The jet of a*w1 + b*w2."""
-    return JetField(a * w1.values + b * w2.values, a * w1.grads + b * w2.grads)
+def jet_linear(a, w1: JetField, b, w2: JetField) -> JetField:
+    """The jet of a*w1 + b*w2; a and b are scalars, or arrays of shape (rows,)
+    that give one stacked row per coefficient pair."""
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    return JetField(a * w1.values + b * w2.values,
+                    a[..., None] * w1.grads + b[..., None] * w2.grads)
 
 
 def alpha_root_jet(w: JetField, alpha: float) -> JetField:
@@ -204,7 +220,7 @@ def alpha_root_jet(w: JetField, alpha: float) -> JetField:
     if np.any(w.values <= 0.0):
         raise ValueError("alpha-root jet needs a strictly positive field")
     root = w.values ** (1.0 / alpha)
-    grads = (1.0 / alpha) * (w.values ** (1.0 / alpha - 1.0))[:, None] * w.grads
+    grads = (1.0 / alpha) * (w.values ** (1.0 / alpha - 1.0))[..., None] * w.grads
     return JetField(root, grads)
 
 

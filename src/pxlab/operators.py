@@ -65,7 +65,8 @@ class OperatorFamily:
     """The triple (Psi, Phi, A) of an isotropic flux, sampled per quadrature point.
 
     Every evaluation is a batch: per-point values s (or t) paired with
-    point indices ``points`` (all points in order when omitted).
+    point indices ``points`` (all points in order when omitted, which also
+    takes stacked rows of shape (..., npoints)).
 
     Attributes
     ----------
@@ -118,9 +119,9 @@ class OperatorFamily:
     # -- flux and primitive ---------------------------------------------
 
     def a_batch(self, grads: np.ndarray) -> np.ndarray:
-        """Flux a(x, grad) at every point; grads has shape (npoints, dim)."""
-        norms = np.sqrt(np.sum(grads * grads, axis=1))
-        return self.psi(norms)[:, None] * grads
+        """Flux a(x, grad) at every point; grads has shape (..., npoints, dim)."""
+        norms = np.sqrt(np.sum(grads * grads, axis=-1))
+        return self.psi(norms)[..., None] * grads
 
     def A_eval(self, point: int, t: float) -> float:
         if t < 0.0:

@@ -21,6 +21,9 @@ from .sources import SourceFamily
 RATIO_CAP = 1e6
 BOUND_SLACK = 1e-12
 FD_STEP = 1e-4
+# largest stacked evaluation in a scan, in points (rows x grid points); it
+# bounds the temporaries, e.g. the image primitive's (pairs, 60) series terms
+SCAN_CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -80,16 +83,21 @@ def make_path(w1: JetField, w2: JetField, alpha: float) -> PathContext:
     return PathContext(w1=w1, w2=w2, alpha=float(alpha), M=M, theta0=theta0)
 
 
-def path_jets(ctx: PathContext, theta: float) -> tuple:
+def path_jets(ctx: PathContext, theta) -> tuple:
     """The segment jet w_theta and the derivative field gamma_theta.
 
     gamma_theta = (1/alpha) (w1 - w2) / w_theta^((alpha-1)/alpha) with the
     product/chain-rule gradient.  The segment bounds
     min(w1,w2)/2 <= w_theta <= 3 max(w1,w2)/2 and
     2/(3M) <= w1/w_theta, w2/w_theta <= 2M are verified on every call.
+    A scalar theta gives fields of shape (npoints,); an array of shape
+    (rows,) gives one stacked row per theta.
     """
-    if not ctx.theta_lo < theta < ctx.theta_hi:
-        raise ValueError(f"theta={theta} outside ({ctx.theta_lo}, {ctx.theta_hi})")
+    theta = np.asarray(theta, dtype=float)
+    outside = ~((ctx.theta_lo < theta) & (theta < ctx.theta_hi))
+    if np.any(outside):
+        bad = theta.ravel()[np.argmax(outside.ravel())]
+        raise ValueError(f"theta={bad} outside ({ctx.theta_lo}, {ctx.theta_hi})")
     alpha = ctx.alpha
     w_theta = jet_linear(theta, ctx.w1, 1.0 - theta, ctx.w2)
     v = w_theta.values
@@ -107,15 +115,15 @@ def path_jets(ctx: PathContext, theta: float) -> tuple:
     diff_v = ctx.w1.values - ctx.w2.values
     diff_g = ctx.w1.grads - ctx.w2.grads
     gamma_v = (1.0 / alpha) * diff_v / v ** ((alpha - 1.0) / alpha)
-    gamma_g = (1.0 / alpha) * diff_g / (v ** (1.0 - 1.0 / alpha))[:, None] \
+    gamma_g = (1.0 / alpha) * diff_g / (v ** (1.0 - 1.0 / alpha))[..., None] \
         + (1.0 / alpha) * (1.0 / alpha - 1.0) \
-        * (diff_v / v ** (2.0 - 1.0 / alpha))[:, None] * w_theta.grads
+        * (diff_v / v ** (2.0 - 1.0 / alpha))[..., None] * w_theta.grads
     return w_theta, JetField(gamma_v, gamma_g)
 
 
-def energy_J(fam: OperatorFamily, src: SourceFamily, w: JetField,
-             grid: Grid) -> float:
-    """J(w): the energy of the alpha-root field u = w^(1/alpha)."""
+def energy_J(fam: OperatorFamily, src: SourceFamily, w: JetField, grid: Grid):
+    """J(w): the energy of the alpha-root field u = w^(1/alpha); one value
+    per row for a stacked w."""
     u = alpha_root_jet(w, src.alpha)
     grad_term = integrate(fam.A_batch(u.grad_norms()), grid)
     source_term = integrate(src.Fbar_vals(u.values), grid)
@@ -150,35 +158,46 @@ def beta_scan(ctx: PathContext, fam: OperatorFamily, src: SourceFamily,
     if thetas[0] <= ctx.theta_lo or thetas[-1] >= ctx.theta_hi:
         raise ValueError("thetas leave the admissible interval")
 
-    def beta_at(t: float) -> float:
-        w_t, _ = path_jets(ctx, t)
-        return energy_J(fam, src, w_t, grid)
-
-    def beta_prime_at(t: float) -> float:
-        w_t, gamma = path_jets(ctx, t)
-        u = alpha_root_jet(w_t, ctx.alpha)
-        flux = fam.a_batch(u.grads)
-        grad_term = integrate(np.sum(flux * gamma.grads, axis=1), grid)
-        src_term = integrate(src.fbar_vals(u.values) * gamma.values, grid)
-        return grad_term - src_term
-
-    beta = np.array([beta_at(t) for t in thetas])
-    bprime = np.array([beta_prime_at(t) for t in thetas])
-
-    fd_err = 0.0
+    # the thetas at which beta is evaluated: the scan, two finite-difference
+    # neighbours per scan theta (one-sided at the scan ends), then 0 and 1
+    n = thetas.size
+    steps, near = [], []
     for k, t in enumerate(thetas):
         # keep the stencil strictly inside the admissible interval
         h = min(FD_STEP, 0.25 * (t - ctx.theta_lo), 0.25 * (ctx.theta_hi - t))
+        steps.append(h)
+        near += [t + h, t + 2 * h] if k == 0 else \
+            [t - h, t - 2 * h] if k == n - 1 else [t + h, t - h]
+    rows = np.concatenate([thetas, near, [0.0, 1.0]])
+
+    # stacked rows in chunks of at most SCAN_CHUNK_POINTS points; every step
+    # is elementwise or a per-row sum, so no value depends on its chunk
+    values = np.empty(rows.size)
+    bprime = np.empty(n)
+    per_chunk = max(1, SCAN_CHUNK_POINTS // grid.npoints)
+    for lo in range(0, rows.size, per_chunk):
+        w_t, gamma = path_jets(ctx, rows[lo:lo + per_chunk])
+        values[lo:lo + per_chunk] = energy_J(fam, src, w_t, grid)
+        if lo < n:  # beta' at the scan rows of this chunk
+            m = min(n - lo, per_chunk)
+            u = alpha_root_jet(JetField(w_t.values[:m], w_t.grads[:m]), ctx.alpha)
+            flux = fam.a_batch(u.grads)
+            bprime[lo:lo + m] = integrate(np.sum(flux * gamma.grads[:m], axis=-1), grid) \
+                - integrate(src.fbar_vals(u.values) * gamma.values[:m], grid)
+    beta, beta_near = values[:n], values[n:3 * n].reshape(n, 2)
+    beta0, beta1 = float(values[-2]), float(values[-1])
+
+    fd_err = 0.0
+    for k in range(n):
+        h, (b1, b2) = steps[k], beta_near[k]
         if k == 0:
-            fd = (-3.0 * beta[0] + 4.0 * beta_at(t + h) - beta_at(t + 2 * h)) / (2 * h)
-        elif k == thetas.size - 1:
-            fd = (3.0 * beta[-1] - 4.0 * beta_at(t - h) + beta_at(t - 2 * h)) / (2 * h)
+            fd = (-3.0 * beta[0] + 4.0 * b1 - b2) / (2 * h)
+        elif k == n - 1:
+            fd = (3.0 * beta[-1] - 4.0 * b1 + b2) / (2 * h)
         else:
-            fd = (beta_at(t + h) - beta_at(t - h)) / (2 * h)
+            fd = (b1 - b2) / (2 * h)
         fd_err = max(fd_err, abs(fd - bprime[k]) / (1.0 + abs(bprime[k])))
 
-    beta0 = beta_at(0.0)
-    beta1 = beta_at(1.0)
     cor_gap = thetas * beta1 + (1.0 - thetas) * beta0 - beta
 
     strict_ok = None

@@ -40,6 +40,12 @@ class SourceFamily:
         self.lambda0 = self.gamma + 1.0
         self.alpha = float(alpha)
         self.strict13_flag = bool(strict13_flag)
+        # the extension's constants f(x, 0), f(x, 1) and F(x, 1), per point;
+        # a subclass sets its own attributes before calling this
+        idx = np.arange(self.npoints)
+        zero, one = np.zeros(self.npoints), np.ones(self.npoints)
+        self._f0, self._f1 = self._f(zero, idx), self._f(one, idx)
+        self._F1 = self._F(one, idx)
 
     # -- on [0, 1] --------------------------------------------------------
 
@@ -52,20 +58,15 @@ class SourceFamily:
     def fbar_vals(self, s, points=None):
         s, idx = self._align(s, points)
         mid = np.clip(s, 0.0, 1.0)
-        f0 = self._f(np.zeros_like(s), idx)
-        f1 = self._f(np.ones_like(s), idx)
-        below = f0 + self.gamma * s
-        above = f1 - self.gamma * (s - 1.0)
+        below = self._f0[idx] + self.gamma * s
+        above = self._f1[idx] - self.gamma * (s - 1.0)
         return np.where(s < 0.0, below, np.where(s <= 1.0, self._f(mid, idx), above))
 
     def Fbar_vals(self, s, points=None):
         s, idx = self._align(s, points)
         mid = np.clip(s, 0.0, 1.0)
-        f0 = self._f(np.zeros_like(s), idx)
-        f1 = self._f(np.ones_like(s), idx)
-        F1 = self._F(np.ones_like(s), idx)
-        below = f0 * s + 0.5 * self.gamma * s * s
-        above = F1 + f1 * (s - 1.0) - 0.5 * self.gamma * (s - 1.0) ** 2
+        below = self._f0[idx] * s + 0.5 * self.gamma * s * s
+        above = self._F1[idx] + self._f1[idx] * (s - 1.0) - 0.5 * self.gamma * (s - 1.0) ** 2
         return np.where(s < 0.0, below, np.where(s <= 1.0, self._F(mid, idx), above))
 
     def fbar_prime_vals(self, s, points=None):
@@ -102,8 +103,8 @@ class PowerSource(SourceFamily):
         if gamma == 0.0:
             gamma = 1.0  # any positive constant bounds the zero source
         strict = bool(alpha < 2.0 and np.min(r1 + r2) > 0.0)
-        super().__init__(npoints=npts, gamma=gamma, alpha=alpha, strict13_flag=strict)
         self.r1, self.r2, self.q1, self.q2 = r1, r2, q1, q2
+        super().__init__(npoints=npts, gamma=gamma, alpha=alpha, strict13_flag=strict)
 
     def _f(self, s, idx):
         return -self.r1[idx] * s ** self.q1[idx] - self.r2[idx] * s ** self.q2[idx]
@@ -123,10 +124,10 @@ class FidelitySource(SourceFamily):
     """Data-fidelity source f(x, s) = mu (g(x) - s) pulling toward g."""
 
     def __init__(self, g, mu, alpha):
-        super().__init__(npoints=g.shape[0], gamma=float(mu), alpha=alpha,
-                         strict13_flag=True)
         self.g = g
         self.mu = float(mu)
+        super().__init__(npoints=g.shape[0], gamma=float(mu), alpha=alpha,
+                         strict13_flag=True)
 
     def _f(self, s, idx):
         return self.mu * (self.g[idx] - s)

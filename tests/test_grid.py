@@ -61,6 +61,22 @@ def test_integrate_length_mismatch():
     g = build_grid(1, 4, 1.0)
     with pytest.raises(ValueError):
         integrate(np.ones(5), g)
+    with pytest.raises(ValueError):
+        integrate(np.ones((3, 5)), g)
+    with pytest.raises(ValueError):
+        integrate(1.0, g)
+
+
+def test_integrate_stacked_rows_match_one_row_calls():
+    g = build_grid(2, 5, 1.0)
+    rows = np.random.default_rng(1).standard_normal((2, 3, g.npoints))
+    out = integrate(rows, g)
+    assert out.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            one = integrate(rows[i, j], g)
+            assert isinstance(one, float)
+            assert out[i, j] == one  # the same exactly rounded sum
 
 
 def test_sample_jet_constant_and_exp():

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pxlab import (JetField, alpha_root_jet, beta_scan, default_thetas, energy_J,
-                   jet_linear, make_path, path_jets)
+from pxlab import (JetField, alpha_root_jet, beta_scan, build_grid, default_thetas,
+                   energy_J, integrate, jet_linear, make_path, path_jets)
+from pxlab.path import FD_STEP
 
-from util import grid_1d, image_op, power_src, random_positive_jet, \
+from util import fidelity_src, grid_1d, image_op, power_src, random_positive_jet, \
     single_phase, two_phase
 
 
@@ -225,3 +228,88 @@ def test_beta_scan_csv_rows():
     rows = list(scan.csv_rows())
     assert len(rows) == scan.thetas.size
     assert len(rows[0]) == 4
+
+
+def _per_theta_scan(ctx, fam, src, grid):
+    """beta, beta' and the finite-difference error composed from one-row
+    path_jets/energy_J calls, one theta at a time."""
+    def beta_at(t):
+        return energy_J(fam, src, path_jets(ctx, t)[0], grid)
+
+    def beta_prime_at(t):
+        w_t, gamma = path_jets(ctx, t)
+        u = alpha_root_jet(w_t, ctx.alpha)
+        flux = fam.a_batch(u.grads)
+        return integrate(np.sum(flux * gamma.grads, axis=1), grid) \
+            - integrate(src.fbar_vals(u.values) * gamma.values, grid)
+
+    thetas = default_thetas(ctx)
+    beta = np.array([beta_at(t) for t in thetas])
+    bprime = np.array([beta_prime_at(t) for t in thetas])
+    fd_err = 0.0
+    for k, t in enumerate(thetas):
+        h = min(FD_STEP, 0.25 * (t - ctx.theta_lo), 0.25 * (ctx.theta_hi - t))
+        if k == 0:
+            fd = (-3.0 * beta[0] + 4.0 * beta_at(t + h) - beta_at(t + 2 * h)) / (2 * h)
+        elif k == thetas.size - 1:
+            fd = (3.0 * beta[-1] - 4.0 * beta_at(t - h) + beta_at(t - 2 * h)) / (2 * h)
+        else:
+            fd = (beta_at(t + h) - beta_at(t - h)) / (2 * h)
+        fd_err = max(fd_err, abs(fd - bprime[k]) / (1.0 + abs(bprime[k])))
+    beta0, beta1 = beta_at(0.0), beta_at(1.0)
+    return {"thetas": thetas, "beta": beta, "beta_prime": bprime,
+            "beta_at_0": beta0, "beta_at_1": beta1,
+            "cor64_gap": thetas * beta1 + (1.0 - thetas) * beta0 - beta,
+            "min_beta_prime_step": float(np.diff(bprime).min()),
+            "fd_max_rel_err": float(fd_err)}
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+def test_batched_scan_matches_per_theta_composition(dim, n):
+    grid = build_grid(dim, n, 1.0)
+    rng = np.random.default_rng(9)
+    w1 = random_positive_jet(rng, grid)
+    w2 = random_positive_jet(rng, grid)
+    ctx = make_path(w1, w2, 1.5)
+    data = np.clip(0.5 + 0.4 * np.sin(5.0 * grid.quad_points[:, 0]), 0.0, 1.0)
+    for fam in (single_phase(grid, 2.0, alpha=1.5), two_phase(grid, alpha=1.5),
+                image_op(grid, alpha=1.5)):
+        for src in (power_src(grid.npoints, r1=1.0, q1=1.0, alpha=1.5),
+                    fidelity_src(grid.npoints, g=data, mu=2.0)):
+            scan = beta_scan(ctx, fam, src, grid)
+            for name, want in _per_theta_scan(ctx, fam, src, grid).items():
+                got = getattr(scan, name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+def test_stacked_path_jets_errors():
+    ctx = make_path(_const_jet(16, 1.0), _const_jet(16, 2.0), 2.0)
+    w, gamma = path_jets(ctx, np.array([0.2, 0.5, 0.8]))
+    assert w.values.shape == (3, 16) and gamma.grads.shape == (3, 16, 1)
+    with pytest.raises(ValueError, match="theta=1.6"):
+        path_jets(ctx, np.array([0.2, 1.6, 0.8]))
+    with pytest.raises(ValueError, match="theta=nan"):
+        path_jets(ctx, np.array([0.2, np.nan]))
+    # fields altered after make_path break the bounds the context certified
+    ctx.w1.values[3] = 50.0
+    with pytest.raises(RuntimeError, match="ratio bound"):
+        path_jets(ctx, np.array([0.2, 0.5, 0.8]))
+    with pytest.raises(RuntimeError, match="segment bound"):
+        path_jets(ctx, np.array([0.5, -0.4]))
+
+
+@pytest.mark.parametrize("make_fam", [image_op, two_phase])
+def test_scan_memory_stays_bounded_by_the_chunk_cap(make_fam):
+    grid = build_grid(2, 32, 1.0)
+    rng = np.random.default_rng(10)
+    ctx = make_path(random_positive_jet(rng, grid), random_positive_jet(rng, grid), 1.5)
+    fam = make_fam(grid, alpha=1.5)
+    src = power_src(grid.npoints, r1=1.0, q1=1.0, alpha=1.5)
+    tracemalloc.start()
+    try:
+        beta_scan(ctx, fam, src, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # unchunked, the 125 stacked rows of 1024 points take 20-120 MB
+    assert peak < 16e6

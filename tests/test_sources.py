@@ -160,3 +160,40 @@ def test_source_props_fidelity():
     rep = check_source_hypotheses(fidelity_src(N, g=0.5, mu=1.0, alpha=1.5), seed=3)
     assert rep.passed(*EXTENSION_CHECKS)
     assert rep.checks["ext-ratio"].note == ""
+
+
+def _extension_formulas(src, s, points):
+    """fbar and Fbar with f(x, 0), f(x, 1) and F(x, 1) evaluated on the
+    whole input, as the extension is defined."""
+    s, idx = np.broadcast_arrays(np.asarray(s, dtype=float), points)
+    mid = np.clip(s, 0.0, 1.0)
+    f0 = src._f(np.zeros_like(s), idx)
+    f1 = src._f(np.ones_like(s), idx)
+    F1 = src._F(np.ones_like(s), idx)
+    fbar = np.where(s < 0.0, f0 + src.gamma * s,
+                    np.where(s <= 1.0, src._f(mid, idx), f1 - src.gamma * (s - 1.0)))
+    above = F1 + f1 * (s - 1.0) - 0.5 * src.gamma * (s - 1.0) ** 2
+    Fbar = np.where(s < 0.0, f0 * s + 0.5 * src.gamma * s * s,
+                    np.where(s <= 1.0, src._F(mid, idx), above))
+    return fbar, Fbar
+
+
+def test_extension_gathers_endpoint_constants_bit_for_bit():
+    rng = np.random.default_rng(5)
+    sources = [
+        make_power_source(rng.uniform(0.0, 2.0, N), rng.uniform(0.0, 1.0, N),
+                          rng.uniform(1.0, 3.0, N), rng.uniform(1.0, 2.0, N), alpha=1.5),
+        fidelity_src(N, g=rng.uniform(0.0, 1.0, N), mu=2.5),
+        zero_src(N),
+    ]
+    s = rng.uniform(-2.0, 3.0, size=(4, 7))
+    s[0, :3] = (0.0, 1.0, -0.0)
+    points = np.array([5, 0, 11, 3, 3, 7, 1])
+    for src in sources:
+        fbar, Fbar = _extension_formulas(src, s, points)
+        assert src.fbar_vals(s, points=points).tobytes() == fbar.tobytes()
+        assert src.Fbar_vals(s, points=points).tobytes() == Fbar.tobytes()
+        full = rng.uniform(-2.0, 3.0, size=(3, N))
+        fbar, Fbar = _extension_formulas(src, full, np.arange(N))
+        assert src.fbar_vals(full).tobytes() == fbar.tobytes()
+        assert src.Fbar_vals(full).tobytes() == Fbar.tobytes()
