@@ -347,6 +347,7 @@ def _solve_results(gate, gate_ok: bool, result) -> dict:
         "converged": result.converged,
         "note": result.note,
         "iterations": result.iterations,
+        "hvps": result.hvps,
         "residual_norm": result.residual_norm,
         "ess_inf": result.ess_inf,
         "in_unit_box": result.in_unit_box,

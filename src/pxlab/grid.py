@@ -7,7 +7,9 @@ to inequalities between the quadrature sums (all weights positive).
 
 Nodal functions (class:`GridFunction`) live on the same cell-center
 lattice; their stencil gradient uses centered differences with reflected
-ghost cells, which bakes in the homogeneous Neumann condition.
+ghost cells, which bakes in the homogeneous Neumann condition.  The same
+reflection makes the DCT-II diagonalize the stencil's D^T D
+(:func:`stencil_symbol`, :func:`dct`).
 """
 
 from __future__ import annotations
@@ -204,6 +206,53 @@ def _centered_diff_adjoint(cell: np.ndarray, h: float, axis: int) -> np.ndarray:
     r[-1] += v[-1] * w
     r[-2] -= v[-1] * w
     return np.moveaxis(r, 0, axis)
+
+
+def stencil_symbol(grid: Grid) -> np.ndarray:
+    """Eigenvalues of D^T D, with D the stencil gradient, per DCT-II mode.
+
+    The reflected ghost extends a nodal function evenly about each boundary
+    face, so the centered difference maps the cosine mode
+    cos(pi k (i + 1/2) / n) to -sin(pi k / n) / h times the matching sine
+    mode, and its adjoint maps that back: the DCT-II diagonalizes D^T D
+    with eigenvalue sum over axes of sin^2(pi k / n) / h^2.  The result has
+    the grid's node shape, indexed like the output of :func:`dct`.
+    """
+    lam = np.zeros(grid.n)
+    for axis, (m, h) in enumerate(zip(grid.n, grid.h)):
+        shape = [1] * grid.dim
+        shape[axis] = m
+        lam = lam + ((np.sin(np.pi * np.arange(m) / m) / h) ** 2).reshape(shape)
+    return lam
+
+
+def dct(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II over every axis, by real FFTs of the even extension."""
+    for axis in range(x.ndim):
+        v = np.moveaxis(x, axis, -1)
+        n = v.shape[-1]
+        spec = np.fft.rfft(np.concatenate([v, v[..., ::-1]], axis=-1))[..., :n]
+        x = np.moveaxis(0.5 * (spec * _dct_twiddle(n)).real, -1, axis)
+    return x
+
+
+def idct(x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`dct` (the orthonormal DCT-III over every axis)."""
+    for axis in range(x.ndim):
+        v = np.moveaxis(x, axis, -1)
+        n = v.shape[-1]
+        spec = v * _dct_twiddle(n).conj()  # irfft pads mode n with a zero
+        spec[..., 0] *= 2.0
+        x = np.moveaxis(n * np.fft.irfft(spec, 2 * n)[..., :n], -1, axis)
+    return x
+
+
+def _dct_twiddle(n: int) -> np.ndarray:
+    """Orthonormal scales times the half-sample phases exp(-i pi k / 2n)."""
+    k = np.arange(n)
+    w = np.sqrt(2.0 / n) * np.exp(-0.5j * np.pi * k / n)
+    w[0] /= math.sqrt(2.0)
+    return w
 
 
 def jet_linear(a, w1: JetField, b, w2: JetField) -> JetField:

@@ -10,10 +10,14 @@ and its Hessian is
 
 with D the stencil gradient, D^T its adjoint and w the quadrature weights.
 Minimization is a matrix-free truncated Newton-CG method (inexact Newton
-with Eisenstat-Walker forcing terms): conjugate gradients on H, applied
-only through Hessian-vector products, give each step, and a line search
-on the energy globalizes it while the predicted decrement is resolvable
-in float64.
+with Eisenstat-Walker forcing terms): preconditioned conjugate gradients
+on H, applied only through Hessian-vector products, give each step, and
+a line search on the energy globalizes it while the predicted decrement
+is resolvable in float64.  The preconditioner M = c D^T D + m freezes H's
+coefficients at their means once per Newton step; the DCT-II
+diagonalizes D^T D exactly (:func:`grid.stencil_symbol`), so M^{-1} costs
+O(N log N) and the CG work per Newton step does not grow with the grid
+where the coefficients vary mildly.
 
 No projection onto [0, 1] is performed: the extension Fbar penalizes
 exterior values, and the result reports any violation instead of hiding it.
@@ -27,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (AnalyticFieldSpec, Grid, GridFunction,
-                   _centered_diff_adjoint, discrete_gradient, integrate,
-                   sample_jet)
+                   _centered_diff_adjoint, dct, discrete_gradient, idct,
+                   integrate, sample_jet, stencil_symbol)
 from .operators import OperatorFamily
 from .sources import SourceFamily
 
@@ -73,15 +77,18 @@ class SolveConfig:
 class SolveResult:
     """Outcome of :func:`minimize`.
 
-    ``iterations`` counts Newton steps; ``energy_history`` holds the start
-    energy and the energy after each step the line search accepted
-    (nonincreasing); ``note`` says why an unconverged solve stopped.
+    ``iterations`` counts Newton steps and ``hvps`` the Hessian-vector
+    products their conjugate-gradient solves spent; ``energy_history``
+    holds the start energy and the energy after each step the line search
+    accepted (nonincreasing); ``note`` says why an unconverged solve
+    stopped.
     """
 
     U: GridFunction
     energy: float
     residual_norm: float
     iterations: int
+    hvps: int
     ess_inf: float
     converged: bool
     in_unit_box: bool
@@ -116,13 +123,21 @@ def discrete_residual(fam: OperatorFamily, src: SourceFamily, U, grid: Grid) -> 
 
 
 def discrete_hessian(fam: OperatorFamily, src: SourceFamily, U, grid: Grid):
-    """The Hessian of the discrete energy at U, as the map v -> H v.
+    """The Hessian of the discrete energy at U and its preconditioner, as
+    the pair of maps (v -> H v, r -> M^{-1} r).
 
     H = D^T diag(w J(D U)) D - diag(w fbar'(U)) is the exact derivative of
     :func:`discrete_residual` wherever the gradient magnitudes and the
     nodal values stay off the floor ``HESSIAN_FLOOR`` (and off the kinks
-    of Phi' and fbar'); it is symmetric by construction.  Vectors are flat
-    arrays over the grid's nodes.
+    of Phi' and fbar'); it is symmetric by construction.
+
+    M = c D^T D + m freezes H's coefficients at their means: c is the mean
+    of w trace(J) / dim and m the mean of the source diagonal
+    -w fbar'(U), floored at sqrt(eps) times the largest eigenvalue of
+    c D^T D so that M stays positive definite when the source vanishes or
+    the concave extension makes the diagonal negative.  The DCT-II
+    diagonalizes D^T D (:func:`grid.stencil_symbol`), so M^{-1} costs two
+    transforms.  Vectors are flat arrays over the grid's nodes.
     """
     jets = discrete_gradient(U, grid)
     xi = jets.grads
@@ -141,7 +156,17 @@ def discrete_hessian(fam: OperatorFamily, src: SourceFamily, U, grid: Grid):
         flux = np.matmul(jac, discrete_gradient(v, grid).grads[:, :, None])[:, :, 0]
         return _stencil_adjoint(flux, grid).ravel() + diag * v.ravel()
 
-    return apply
+    symbol = stencil_symbol(grid)
+    c = float(np.mean(np.trace(jac, axis1=1, axis2=2))) / grid.dim
+    # mean(diag) is H's exact curvature along the constants (D 1 = 0); the
+    # floor caps M's condition number at 1/sqrt(eps)
+    m = max(float(np.mean(diag)), np.sqrt(np.finfo(float).eps) * c * float(symbol.max()))
+    eig = c * symbol + m
+
+    def precond(r):
+        return idct(dct(r.reshape(grid.n)) / eig).ravel()
+
+    return apply, precond
 
 
 def _stencil_adjoint(flux, grid: Grid) -> np.ndarray:
@@ -160,46 +185,51 @@ def residual_norm(res, grid: Grid) -> float:
     return float(np.max(np.abs(vals.ravel()) / grid.quad_weights))
 
 
-def _truncated_cg(hvp, g, eta):
-    """Conjugate gradients on H d = -g from d = 0, to relative residual eta.
+def _truncated_cg(hvp, precond, g, eta):
+    """Preconditioned conjugate gradients on H d = -g from d = 0.
 
-    Stops at the first direction of nonpositive curvature and returns the
-    iterate so far, which is a descent direction; when that happens on the
-    first direction, returns -g scaled by its absolute curvature.
+    Stops once the (unpreconditioned) residual is at most eta |g|, and at
+    the first direction of nonpositive curvature, returning the iterate so
+    far, which is a descent direction; when that happens on the first
+    direction, returns the preconditioned steepest-descent direction
+    scaled by its absolute curvature.  Returns the direction and the
+    number of Hessian-vector products spent.
     """
     d = np.zeros_like(g)
     r = -g
-    p = r.copy()
-    rr = float(r @ r)
-    stop = eta * eta * rr
+    p = precond(r)
+    rz = float(r @ p)
+    stop = eta * eta * float(r @ r)
     for k in range(CG_MAX_ITERS):
         Hp = hvp(p)
         curv = float(p @ Hp)
         if curv <= 0.0:
             if k == 0:
-                return p * (rr / -curv) if curv < 0.0 else p
-            return d
-        a = rr / curv
+                return (p * (rz / -curv) if curv < 0.0 else p), 1
+            return d, k + 1
+        a = rz / curv
         d += a * p
         r = r - a * Hp
-        rr_new = float(r @ r)
-        if rr_new <= stop:
-            return d
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return d
+        if float(r @ r) <= stop:
+            return d, k + 1
+        z = precond(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return d, CG_MAX_ITERS
 
 
 def minimize(cfg: SolveConfig) -> SolveResult:
     """Truncated Newton-CG on the discrete energy.
 
-    Each Newton step solves H d = -g by conjugate gradients to the
-    Eisenstat-Walker relative tolerance eta = 0.9 (|g_k| / |g_{k-1}|)^2
-    (their choice 2, capped at ETA_MAX), stopping at negative curvature,
-    which the concave extension of Fbar outside [0, 1] can produce.  No
-    step moves a node further out of STATE_BAND.  While the predicted
-    decrement -g.d exceeds 64 ulp of max(1, |E|), an Armijo line search on
-    the energy (halving the step) accepts it, so the recorded energy
+    Each Newton step solves H d = -g by preconditioned conjugate gradients
+    (see :func:`discrete_hessian`) to the Eisenstat-Walker relative
+    tolerance eta = 0.9 (|g_k| / |g_{k-1}|)^2 (their choice 2, capped at
+    ETA_MAX), stopping at negative curvature, which the concave extension
+    of Fbar outside [0, 1] can produce.  No step moves a node further out
+    of STATE_BAND.  While the predicted decrement -g.d exceeds 64 ulp of
+    max(1, |E|), an Armijo line search on the energy (halving the step)
+    accepts it, so the recorded energy
     history decreases monotonically.  Below that the energy cannot
     certify a step any more, and full Newton steps are taken as long as
     they lower the residual sup norm.  The solve stops when the residual
@@ -231,7 +261,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
     gnorm_prev = None
     energy_phase = True
     note = ""
-    iterations = 0
+    iterations = hvps = 0
 
     while rnorm > cfg.residual_tol:
         if iterations >= cfg.max_iters:
@@ -244,8 +274,9 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         eta = ETA_MAX if gnorm_prev is None else min(ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
         # no need to solve the linear model beyond half the tolerance
         eta = max(eta, 0.5 * cfg.residual_tol * float(grid.quad_weights.min()) / gnorm)
-        hvp = discrete_hessian(cfg.fam, cfg.src, U.reshape(grid.n), grid)
-        d = _truncated_cg(hvp, g, eta)
+        hvp, precond = discrete_hessian(cfg.fam, cfg.src, U.reshape(grid.n), grid)
+        d, spent = _truncated_cg(hvp, precond, g, eta)
+        hvps += spent
         if not np.all(np.isfinite(d)):
             note = "Newton direction is not finite"
             break
@@ -293,6 +324,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         energy=E,
         residual_norm=rnorm,
         iterations=iterations,
+        hvps=hvps,
         ess_inf=lo,
         converged=converged,
         in_unit_box=(lo >= -1e-12 and hi <= 1.0 + 1e-12),

@@ -205,6 +205,7 @@ def test_solve_command_artifacts(tmp_path):
     rep = json.loads((out / "solve_report.json").read_text())
     assert rep["results"]["converged"] and rep["results"]["note"] == ""
     assert rep["results"]["weak_form_defect"]["passed"]
+    assert rep["results"]["hvps"] >= rep["results"]["iterations"] >= 1
     assert (out / "solution.csv").exists()
     img = read_pgm(out / "solution.pgm")
     assert img.width == img.height == 8
@@ -285,6 +286,7 @@ def test_denoise_command(tmp_path):
     assert rep["results"]["converged"]
     assert rep["results"]["in_unit_box"]
     assert "tv_input" in rep["results"] and "tv_output" in rep["results"]
+    assert rep["results"]["hvps"] >= rep["results"]["iterations"] >= 1
     img = read_pgm(out / "denoised.pgm")
     assert img.values.min() >= 0.0 and img.values.max() <= 1.0
 

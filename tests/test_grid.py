@@ -4,6 +4,7 @@ import pytest
 from pxlab import (AnalyticFieldSpec, GridFunction, JetField, alpha_root_jet,
                    build_grid, discrete_gradient, integrate, jet_linear,
                    sample_jet)
+from pxlab.grid import dct, idct, stencil_symbol
 
 
 def test_build_grid_1d_midpoints():
@@ -172,6 +173,35 @@ def test_discrete_gradient_non_square_grid():
     mask = interior.ravel()
     assert np.allclose(jet.grads[mask, 0], 0.4, atol=1e-13)
     assert np.allclose(jet.grads[mask, 1], 0.2, atol=1e-13)
+
+
+def _columns(op, shape):
+    """The dense matrix of a linear map on arrays of the given shape."""
+    size = int(np.prod(shape))
+    return np.column_stack([np.ravel(op(np.eye(size)[j].reshape(shape)))
+                            for j in range(size)])
+
+
+@pytest.mark.parametrize("dim,n,extent", [(1, 9, 1.0), (2, (7, 12), (1.0, 2.5))])
+def test_dct_diagonalizes_the_stencil(dim, n, extent):
+    g = build_grid(dim, n, extent)
+    D = _columns(lambda e: discrete_gradient(e, g).grads, g.n)
+    C = _columns(idct, g.n)  # columns are the orthonormal DCT-II modes
+    assert np.max(np.abs(C.T @ C - np.eye(g.npoints))) <= 1e-14
+    assert np.max(np.abs(C.T - _columns(dct, g.n))) <= 1e-14
+    DtD = D.T @ D
+    assert np.max(np.abs(C @ np.diag(stencil_symbol(g).ravel()) @ C.T - DtD)) <= 1e-12
+    # the constants are the only zero mode
+    assert stencil_symbol(g).flat[0] == 0.0 and np.min(stencil_symbol(g).flat[1:]) > 0.0
+
+
+@pytest.mark.parametrize("shape", [(3,), (9,), (7, 12), (16, 5), (64, 64)])
+def test_dct_round_trip_and_reference(shape):
+    fft = pytest.importorskip("scipy.fft")
+    x = np.random.default_rng(4).standard_normal(shape)
+    assert np.max(np.abs(idct(dct(x)) - x)) <= 1e-14
+    assert np.max(np.abs(dct(idct(x)) - x)) <= 1e-14
+    assert np.max(np.abs(dct(x) - fft.dctn(x, type=2, norm="ortho"))) <= 1e-14
 
 
 def test_grid_function_validation():

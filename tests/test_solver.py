@@ -8,6 +8,7 @@ from pxlab import (GridFunction, SolveConfig, build_grid, discrete_energy,
                    discrete_hessian, discrete_residual, minimize,
                    residual_norm, synthetic_image, uniqueness_experiment,
                    verify_weak_solution)
+from pxlab import solver
 from pxlab.grid import _centered_diff, _centered_diff_adjoint
 
 from util import fidelity_src, grid_1d, grid_2d, image_op, power_src, \
@@ -208,7 +209,7 @@ def test_hessian_is_residual_derivative(op_name, src_name):
     fam, src = ops[op_name], srcs[src_name]
     rng = np.random.default_rng(2)
     U0 = rng.uniform(0.2, 0.8, grid.npoints)
-    hvp = discrete_hessian(fam, src, GridFunction(U0.reshape(grid.n)), grid)
+    hvp, _ = discrete_hessian(fam, src, GridFunction(U0.reshape(grid.n)), grid)
     h = 1e-5
     for _ in range(5):
         d = rng.standard_normal(grid.npoints)
@@ -228,12 +229,94 @@ def test_hessian_is_symmetric():
         for src in srcs.values():
             # values outside [0, 1] reach the extension's +-gamma branches
             U = GridFunction(rng.uniform(-0.3, 1.3, grid.n))
-            hvp = discrete_hessian(fam, src, U, grid)
+            hvp, _ = discrete_hessian(fam, src, U, grid)
             for _ in range(3):
                 v = rng.standard_normal(grid.npoints)
                 w = rng.standard_normal(grid.npoints)
                 a, b = float(v @ hvp(w)), float(w @ hvp(v))
                 assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("dim,n,extent", [(1, 16, 1.0), (2, (7, 12), (1.0, 2.5))])
+def test_preconditioner_inverts_a_constant_coefficient_hessian(dim, n, extent):
+    # p = 2 with a fidelity source inside [0, 1]: J = I and fbar' = -mu, so
+    # H = w D^T D + w mu is exactly the preconditioner M
+    grid = build_grid(dim, n, extent)
+    fam = single_phase(grid, 2.0)
+    fid = fidelity_src(grid.npoints, g=0.4, mu=1.3)
+    rng = np.random.default_rng(5)
+    U = GridFunction(rng.uniform(0.2, 0.8, grid.n))
+    hvp, precond = discrete_hessian(fam, fid, U, grid)
+    for _ in range(3):
+        v = rng.standard_normal(grid.npoints)
+        assert np.max(np.abs(precond(hvp(v)) - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_preconditioner_is_symmetric_positive_definite():
+    grid = build_grid(2, (7, 9), (1.0, 1.5))
+    ops, srcs = _ops_and_sources(grid)
+    rng = np.random.default_rng(6)
+    for fam in ops.values():
+        for src in srcs.values():
+            # values outside [0, 1] make the source diagonal negative
+            U = GridFunction(rng.uniform(-0.3, 1.3, grid.n))
+            _, precond = discrete_hessian(fam, src, U, grid)
+            for _ in range(3):
+                x = rng.standard_normal(grid.npoints)
+                y = rng.standard_normal(grid.npoints)
+                a, b = float(x @ precond(y)), float(y @ precond(x))
+                assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+                assert float(x @ precond(x)) > 0.0
+
+
+def _readme_problem(command, n):
+    """The README's two-phase solve (from 0.2) or image denoise (from 0.9)."""
+    grid = build_grid(2, n, 1.0)
+    fid = fidelity_src(grid.npoints, g=synthetic_image(n, seed=7).ravel(), mu=1.0)
+    if command == "solve":
+        return SolveConfig(two_phase(grid), fid, grid, init=0.2)
+    return SolveConfig(image_op(grid), fid, grid, init=0.9)
+
+
+def test_hvp_count_is_the_number_of_hessian_products(monkeypatch):
+    calls = []
+    builder = solver.discrete_hessian
+
+    def counting(*args):
+        hvp, precond = builder(*args)
+
+        def counted(v):
+            calls.append(v)
+            return hvp(v)
+
+        return counted, precond
+
+    monkeypatch.setattr(solver, "discrete_hessian", counting)
+    res = minimize(_readme_problem("denoise", 12))
+    assert res.converged and res.iterations > 0
+    assert res.hvps == len(calls)
+
+
+@pytest.mark.parametrize("command", ["solve", "denoise"])
+def test_hvps_per_newton_step_do_not_grow_with_the_grid(command):
+    per_step = {}
+    for n in (16, 32, 64):
+        res = minimize(_readme_problem(command, n))
+        assert res.converged and res.residual_norm <= 1e-8
+        per_step[n] = res.hvps / res.iterations
+    assert per_step[64] <= 1.5 * per_step[16], per_step
+
+
+def test_single_phase_p15_image_fidelity_converges():
+    # p = 1.5 makes the flux Jacobian unbounded at zero gradient; this 64^2
+    # solve toward the synthetic image ended unconverged under plain CG
+    grid = build_grid(2, 64, 1.0)
+    fam = single_phase(grid, 1.5, alpha=1.1)
+    fid = fidelity_src(grid.npoints, g=synthetic_image(64, seed=7).ravel(), mu=1.0,
+                       alpha=1.1)
+    res = minimize(SolveConfig(fam, fid, grid, init=0.2))
+    assert res.converged and res.residual_norm <= 1e-8, res.note
+    assert all(np.diff(res.energy_history) <= 0.0)
 
 
 def test_newton_steps_do_not_grow_with_the_grid():
