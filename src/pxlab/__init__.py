@@ -11,10 +11,8 @@ from .operators import (ExponentField, OperatorFamily, check_homogeneity,
                         make_multiphase)
 from .sources import (SourceFamily, make_fidelity_source, make_power_source,
                       make_zero_source)
-from .hypotheses import (HypothesisReport, check_coercivity, check_exponent,
-                         check_growth, check_limit_monotone,
-                         check_monotone_ratio, check_source_hypotheses,
-                         default_trial_fields)
+from .hypotheses import (HypothesisReport, check_operator_hypotheses,
+                         check_source_hypotheses)
 from .inequality import (EqualityDiagnosis, IntegralGap, ScalarIneqCase,
                          equality_diagnose, fixture_counterexample,
                          fuzz_scalar_gaps, fuzz_subunit_gaps, integral_gap,

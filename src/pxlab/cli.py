@@ -108,8 +108,16 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _section(cfg: dict, name: str) -> dict:
+    """The config's object ``name``, empty when absent."""
+    sec = cfg.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{name} must be an object, got {sec!r}")
+    return sec
+
+
 def _build_grid(cfg: dict) -> Grid:
-    g = cfg.get("grid", {})
+    g = _section(cfg, "grid")
     try:
         grid = build_grid(int(g.get("dim", 1)), g.get("n", 32), g.get("extent", 1.0))
     except (ValueError, TypeError) as e:
@@ -137,7 +145,7 @@ def _exponent(grid: Grid, spec) -> ExponentField:
 
 
 def _build_operator(cfg: dict, grid: Grid) -> OperatorFamily:
-    op = cfg.get("operator", {})
+    op = _section(cfg, "operator")
     alpha = cfg["alpha"]
     kind = op.get("kind")
     d0 = op.get("d0")
@@ -161,7 +169,7 @@ def _build_operator(cfg: dict, grid: Grid) -> OperatorFamily:
 
 
 def _build_source(cfg: dict, grid: Grid) -> SourceFamily:
-    src = cfg.get("source", {})
+    src = _section(cfg, "source")
     alpha = cfg["alpha"]
     kind = src.get("kind")
     try:
@@ -200,7 +208,7 @@ def _field_spec(d: dict) -> AnalyticFieldSpec:
 
 
 def _solver_config(cfg: dict, fam, src, grid, init) -> SolveConfig:
-    s = cfg.get("solver", {})
+    s = _section(cfg, "solver")
     try:
         scfg = SolveConfig(
             fam=fam, src=src, grid=grid, init=init,
@@ -293,7 +301,7 @@ def cmd_inequality(cfg: dict, outdir: Path, seed: int) -> int:
 
 def cmd_path_scan(cfg: dict, outdir: Path, seed: int) -> int:
     grid, fam, src = _build_problem(cfg)
-    fields = cfg.get("fields", {})
+    fields = _section(cfg, "fields")
     try:
         w1 = sample_jet(_field_spec(fields.get("w1")), grid)
         w2 = sample_jet(_field_spec(fields.get("w2")), grid)
@@ -400,7 +408,7 @@ def cmd_uniqueness(cfg: dict, outdir: Path, seed: int) -> int:
 
 
 def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
-    d = cfg.get("denoise", {})
+    d = _section(cfg, "denoise")
     inp = d.get("input", "synthetic")
     try:
         if inp == "synthetic":
@@ -452,7 +460,10 @@ def _total_variation(vals: np.ndarray, grid: Grid) -> float:
 
 def cmd_fixtures(cfg: dict, outdir: Path, seed: int) -> int:
     name = cfg.get("name", "ex51")
-    n = int(cfg.get("n", 64))
+    try:
+        n = int(cfg.get("n", 64))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad n: {e}") from e
     try:
         grid = build_grid(1, n, 2.0)
         report = ineq.fixture_counterexample(name, grid)

@@ -263,8 +263,9 @@ def make_multiphase(exponents, weights, alpha: float | None = None,
         The ratio is strictly increasing exactly when alpha is below that
         minimum.  Defaults to the midpoint of (1, min p).
     d0, d0_tilde : float, optional
-        Caller-supplied coercivity constants, stored on the family for the
-        validators; by default the checks fall back to (min w / p+, 0).
+        Caller-supplied coercivity constants, finite and nonnegative, stored
+        on the family for the validators; by default the checks fall back to
+        (min w / p+, 0).
     """
     exponents = list(exponents)
     if not exponents:
@@ -286,9 +287,10 @@ def make_multiphase(exponents, weights, alpha: float | None = None,
     alpha = float(alpha)
     if not 1.0 < alpha <= p_lower:
         raise ValueError(f"alpha must lie in (1, {p_lower}], got {alpha}")
-    return MultiphaseFamily(exponents, warr, alpha, p_lower,
-                            None if d0 is None else float(d0),
-                            None if d0_tilde is None else float(d0_tilde))
+    consts = [None if c is None else float(c) for c in (d0, d0_tilde)]
+    if any(c is not None and not 0.0 <= c < math.inf for c in consts):
+        raise ValueError(f"d0 and d0_tilde must be finite and nonnegative, got {d0}, {d0_tilde}")
+    return MultiphaseFamily(exponents, warr, alpha, p_lower, *consts)
 
 
 def make_image_operator(p: ExponentField, eps: float, delta: float,

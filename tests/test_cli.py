@@ -126,6 +126,15 @@ BAD_CONFIGS = {
     "seeds-not-an-object": ("check-hypotheses", _SMALL | {"seeds": 5}),
     "output-not-an-object": ("check-hypotheses", _SMALL | {"output": "out"}),
     "alpha-not-a-number": ("check-hypotheses", _SMALL | {"alpha": "x"}),
+    "operator-negative-d0": (
+        "check-hypotheses", _SMALL | {"operator": {"kind": "single", "p": 2.0, "d0": -1}}),
+    "grid-not-an-object": ("check-hypotheses", _SMALL | {"grid": 5}),
+    "operator-not-an-object": ("check-hypotheses", _SMALL | {"operator": "x"}),
+    "source-not-an-object": ("check-hypotheses", _SMALL | {"source": 7}),
+    "solver-not-an-object": ("solve", _SMALL | {"solver": []}),
+    "fields-not-an-object": ("path-scan", _SMALL | {"fields": 3}),
+    "denoise-not-an-object": ("denoise", {"denoise": 3}),
+    "fixtures-n-not-a-number": ("fixtures", {"n": "x"}),
 }
 
 

@@ -237,6 +237,10 @@ def test_make_multiphase_validation(grid):
         make_multiphase([p2], [0.0])
     with pytest.raises(ValueError):
         make_multiphase([p2], [1.0], alpha=2.5)
+    for consts in ({"d0": -1.0}, {"d0_tilde": -1.0}, {"d0": float("nan")},
+                   {"d0_tilde": float("inf")}):
+        with pytest.raises(ValueError):
+            make_multiphase([p2], [1.0], **consts)
     fam = make_multiphase([p2], [1.0], alpha=2.0)
     assert not fam.strict_flag  # the ratio at r = p is flat
     assert make_multiphase([p2], [1.0]).r_order == pytest.approx(1.5)
