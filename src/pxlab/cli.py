@@ -163,7 +163,7 @@ def _build_operator(cfg: dict, grid: Grid) -> OperatorFamily:
             p = _exponent(grid, op.get("p", 2.0))
             return make_image_operator(p, float(op.get("eps", 0.5)),
                                        float(op.get("delta", 1.0)), alpha)
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad operator spec: {e}") from e
     raise ConfigError(f"operator kind must be single, multiphase, or image, got {kind!r}")
 
@@ -190,7 +190,7 @@ def _build_source(cfg: dict, grid: Grid) -> SourceFamily:
             return make_fidelity_source(g_data.ravel(), float(src.get("mu", 1.0)), alpha)
         if kind == "zero":
             return make_zero_source(grid.npoints, alpha=alpha)
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad source spec: {e}") from e
     raise ConfigError(f"source kind must be power, fidelity, or zero, got {kind!r}")
 
@@ -215,7 +215,7 @@ def _solver_config(cfg: dict, fam, src, grid, init) -> SolveConfig:
             residual_tol=float(s.get("tol", 1e-8)),
             max_iters=int(s.get("max_iters", 50_000)),
         )
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad solver spec: {e}") from e
     cfg["solver"] = {"tol": scfg.residual_tol, "max_iters": scfg.max_iters}
     return scfg

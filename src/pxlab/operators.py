@@ -123,12 +123,6 @@ class OperatorFamily:
         norms = np.sqrt(np.sum(grads * grads, axis=-1))
         return self.psi(norms)[..., None] * grads
 
-    def A_eval(self, point: int, t: float) -> float:
-        if t < 0.0:
-            raise ValueError("the primitive is defined for t >= 0")
-        return float(self.A_batch(np.asarray([float(t)]),
-                                  points=np.asarray([point]))[0])
-
     def A_batch(self, t, points=None) -> np.ndarray:
         """A(x_i, t_i) for per-point upper limits t (finite, t >= 0)."""
         t, idx = self._align(t, points)
@@ -230,15 +224,19 @@ class ImageFamily(OperatorFamily):
         return vals[inverse.ravel()].reshape(t.shape)
 
     def _A_pairs(self, t, p):
-        # Every step below is elementwise or a reduction over one row's own
-        # terms, so each value depends only on its own (t, p), whatever the batch.
+        # Every step below is elementwise, a reduction over one row's own terms
+        # or, above the cap, a series value of p alone, so each value depends
+        # only on its own (t, p), whatever the batch.
         eps, delta, tau0 = self.eps, self.delta, self._tau0
-        # [0, tau]: s^(p-1) ln^delta(1+s) = s^(p-1+delta) g(s)^delta, integrated
-        # termwise as tau^c sum_k b_k tau^k / (c + k) with c = p + delta
-        tau = np.minimum(t, min(eps, tau0))
-        c = p + delta
-        k = np.arange(self._series.size)
-        out = tau**c * np.sum(self._series * tau[:, None] ** k / (c[:, None] + k), axis=1)
+        # [0, min(t, cap)] by the series; every limit at or above the cap has
+        # the same upper end, so its series value depends on p alone and is
+        # summed once per distinct p
+        cap = min(eps, tau0)
+        out = np.empty_like(t)
+        low = t < cap
+        out[low] = self._series_sum(t[low], p[low])
+        p_top, inverse = np.unique(p[~low], return_inverse=True)
+        out[~low] = self._series_sum(np.full_like(p_top, cap), p_top)[inverse]
         # the rest of the low branch, [tau0, min(t, eps)]
         if eps > tau0:
             out += _log_panels(math.log(tau0), np.log(np.clip(t, tau0, eps)), p, delta)
@@ -246,6 +244,13 @@ class ImageFamily(OperatorFamily):
         tail = _log_panels(math.log(eps), np.log(np.maximum(t, eps)),
                            np.full_like(t, self.alpha), delta)
         return out + eps ** (p - self.alpha) * tail
+
+    def _series_sum(self, tau, p):
+        # s^(p-1) ln^delta(1+s) = s^(p-1+delta) g(s)^delta over [0, tau_i],
+        # integrated termwise as tau^c sum_k b_k tau^k / (c + k), c = p + delta
+        c = p + self.delta
+        k = np.arange(self._series.size)
+        return tau**c * np.sum(self._series * tau[:, None] ** k / (c[:, None] + k), axis=1)
 
 
 def make_multiphase(exponents, weights, alpha: float | None = None,

@@ -135,6 +135,13 @@ BAD_CONFIGS = {
     "fields-not-an-object": ("path-scan", _SMALL | {"fields": 3}),
     "denoise-not-an-object": ("denoise", {"denoise": 3}),
     "fixtures-n-not-a-number": ("fixtures", {"n": "x"}),
+    "operator-d0-a-list": (
+        "solve", _SMALL | {"operator": {"kind": "single", "p": 2.0, "d0": [1]}}),
+    "operator-exponents-not-a-list": (
+        "solve", _SMALL | {"operator": {"kind": "multiphase", "exponents": 5,
+                                        "weights": [1]}}),
+    "source-mu-a-list": ("solve", _SMALL | {"source": {"kind": "fidelity", "mu": [1]}}),
+    "solver-tol-a-list": ("solve", _SMALL | {"solver": {"tol": [1]}}),
 }
 
 

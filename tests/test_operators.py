@@ -8,6 +8,7 @@ import scipy.integrate
 from pxlab import (ExponentField, check_homogeneity, exponent_field,
                    image_coercivity_constants, image_growth_constant,
                    make_image_operator, make_multiphase)
+from pxlab.operators import ImageFamily
 
 from util import grid_1d, image_op, single_phase, two_phase
 
@@ -74,23 +75,28 @@ def test_psi_and_flux_vanish_exactly_at_zero(grid, make):
     assert np.array_equal(a[~zero], expected[~zero])
 
 
-def test_A_eval_examples(grid):
+def _A_at(fam, point, t):
+    """A(x_point, t) by a one-point batch."""
+    return float(fam.A_batch([t], points=[point])[0])
+
+
+def test_A_batch_one_point_examples(grid):
     fam2 = single_phase(grid, 2.0)
-    assert fam2.A_eval(0, 0.0) == 0.0
-    assert fam2.A_eval(0, 2.0) == pytest.approx(2.0, rel=1e-14)
+    assert _A_at(fam2, 0, 0.0) == 0.0
+    assert _A_at(fam2, 0, 2.0) == pytest.approx(2.0, rel=1e-14)
     both = two_phase(grid)
-    assert both.A_eval(0, 1.0) == pytest.approx(1.0 / 2.0 + 1.0 / 3.0, rel=1e-14)
+    assert _A_at(both, 0, 1.0) == pytest.approx(1.0 / 2.0 + 1.0 / 3.0, rel=1e-14)
     with pytest.raises(ValueError):
-        fam2.A_eval(0, -1.0)
+        _A_at(fam2, 0, -1.0)
 
 
-def test_A_eval_nondecreasing(grid):
+def test_A_batch_one_point_nondecreasing(grid):
     rng = np.random.default_rng(2)
     for fam in (two_phase(grid), image_op(grid)):
         ts = np.sort(rng.uniform(0.0, 20.0, 24))
-        vals = [fam.A_eval(3, float(t)) for t in ts]
+        vals = [_A_at(fam, 3, float(t)) for t in ts]
         assert np.all(np.diff(vals) >= 0.0)
-        assert fam.A_eval(3, 0.0) == 0.0
+        assert _A_at(fam, 3, 0.0) == 0.0
 
 
 def test_image_profile_examples(grid):
@@ -113,7 +119,7 @@ def test_image_primitive_against_scipy(grid):
     for t in (0.3, 0.7, 1.9, 12.0):
         ref, _ = scipy.integrate.quad(integrand, 0.0, t, points=[0.7],
                                       epsabs=1e-13, epsrel=1e-13)
-        assert fam.A_eval(0, t) == pytest.approx(ref, abs=2e-10)
+        assert _A_at(fam, 0, t) == pytest.approx(ref, abs=2e-10)
 
 
 def test_phi_prime_against_differences(grid):
@@ -150,7 +156,7 @@ def test_image_primitive_integrates_each_distinct_pair_once(grid):
         fam = make_image_operator(p, float(rng.uniform(0.1, 1.0)),
                                   float(rng.uniform(0.5, 2.0)), 1.5)
         t = rng.choice(np.append(rng.uniform(0.0, 5.0, 4), 0.0), grid.npoints)
-        single = [fam.A_eval(i, float(t[i])) for i in range(grid.npoints)]
+        single = [_A_at(fam, i, float(t[i])) for i in range(grid.npoints)]
         assert np.array_equal(fam.A_batch(t), single)
 
 
@@ -201,13 +207,75 @@ def test_image_primitive_is_batch_independent():
         t = np.concatenate([[0.0, 1e-9, 0.5, eps, 1e6],
                             10 ** rng.uniform(-3.0, 5.0, grid.npoints - 5)])
         batch = fam.A_batch(t)
-        single = [fam.A_eval(i, float(t[i])) for i in range(grid.npoints)]
+        single = [_A_at(fam, i, float(t[i])) for i in range(grid.npoints)]
         assert np.array_equal(batch, single)
         perm = rng.permutation(grid.npoints)
         extra = rng.integers(0, grid.npoints, 20)
         mixed = fam.A_batch(np.append(t[perm], 10 ** rng.uniform(-3.0, 8.0, 20)),
                             points=np.append(perm, extra))
         assert np.array_equal(mixed[:grid.npoints], batch[perm])
+
+
+def test_image_primitive_sums_the_clamped_series_once_per_exponent(monkeypatch):
+    # every limit at or above the cap min(eps, tau0) integrates the series
+    # over the same [0, cap], so the series runs once per distinct exponent
+    rows = []
+    inner = ImageFamily._series_sum
+
+    def counted(self, tau, p):
+        rows.append(tau.size)
+        return inner(self, tau, p)
+
+    monkeypatch.setattr(ImageFamily, "_series_sum", counted)
+    grid = grid_1d(4096)
+    t = np.linspace(0.5, 40.0, grid.npoints)
+    for exps, expected in ((2.0, 1), (np.resize([1.7, 2.0, 2.6], grid.npoints), 3)):
+        rows.clear()
+        fam = make_image_operator(exponent_field(grid, exps), 0.5, 1.0, 1.5)
+        fam.A_batch(t)
+        assert sum(rows) == expected
+
+
+# float.hex of A_batch at the limits below (one row of 8 per exponent 1.8, 2.0,
+# 3.4) from the termwise-series implementation: a refactor of the primitive
+# may not move a bit
+GOLDEN_BITS = {
+    (0.5, 1.0): """
+        0x0.0p+0 0x1.be55ec1c5bdefp-86 0x1.666272de60b94p-5 0x1.666272de60b95p-5
+        0x1.666272de60b99p-5 0x1.666272de60b95p-5 0x1.2730056988916p+0 0x1.a8646efc255d7p+32
+        0x0.0p+0 0x1.a68cd9e6dc70dp-92 0x1.2269439c13719p-5 0x1.2269439c1371bp-5
+        0x1.2269439c1371ep-5 0x1.2269439c1371bp-5 0x1.004d2346747a8p+0 0x1.7174790a42564p+32
+        0x0.0p+0 0x1.3e472f32d4320p-134 0x1.283c5a4bc5fc2p-7 0x1.283c5a4bc5fc5p-7
+        0x1.283c5a4bc5fcap-7 0x1.283c5a4bc5fc5p-7 0x1.7ffb5b899d09bp-2 0x1.17fe9841e104ap+31
+    """.split(),
+    (1.9, 0.7): """
+        0x0.0p+0 0x1.e956b9624d175p-77 0x1.03f04277db61cp-4 0x1.03f04277db61dp-4
+        0x1.03f04277db61fp-4 0x1.74a56a23a7386p+0 0x1.a26fe10ada892p+0 0x1.245b521a3d475p+32
+        0x0.0p+0 0x1.cb95c23eebe4bp-83 0x1.a2217e301e55bp-5 0x1.a2217e301e55dp-5
+        0x1.a2217e301e561p-5 0x1.860d126660c8cp+0 0x1.ba1d3704d9545p+0 0x1.4c66f24122795p+32
+        0x0.0p+0 0x1.4e5a6f7906ffcp-125 0x1.9d06998d3ed42p-7 0x1.9d06998d3ed45p-7
+        0x1.9d06998d3ed4bp-7 0x1.332f3bc384c9cp+1 0x1.731f32d55b6d5p+1 0x1.98370375aa5d5p+33
+    """.split(),
+    (0.2, 2.5): """
+        0x0.0p+0 0x1.435ef39735436p-131 0x1.8e73523d47e9bp-13 0x1.8e73523d47e9fp-13
+        0x1.8e73523d47e9fp-13 0x1.8e73523d47e9fp-13 0x1.67a01f852bf51p-1 0x1.e2a299b93c822p+37
+        0x0.0p+0 0x1.396d6536f5a69p-137 0x1.138523a58ee08p-13 0x1.138523a58ee0bp-13
+        0x1.138523a58ee0bp-13 0x1.138523a58ee0bp-13 0x1.04a55ff97be54p-1 0x1.5dcddc9ddb659p+37
+        0x0.0p+0 0x1.0817da49645d5p-179 0x1.5e49414e56e89p-17 0x1.5e49414e56e8fp-17
+        0x1.5e49414e56e8fp-17 0x1.5e49414e56e8fp-17 0x1.b61cd1eb6086cp-5 0x1.2601aa22d0a35p+34
+    """.split(),
+}
+
+
+@pytest.mark.parametrize("eps,delta", sorted(GOLDEN_BITS))
+def test_image_primitive_golden_bits(eps, delta):
+    cap = min(eps, 0.5, 1.0 / delta)
+    limits = [0.0, 1e-9, math.nextafter(cap, 0.0), cap, math.nextafter(cap, math.inf),
+              eps, 2.0, 1e6]
+    exps = np.repeat([1.8, 2.0, 3.4], len(limits))
+    fam = make_image_operator(exponent_field(grid_1d(exps.size), exps), eps, delta, 1.5)
+    got = fam.A_batch(np.tile(limits, 3))
+    assert [v.hex() for v in got] == GOLDEN_BITS[(eps, delta)]
 
 
 def test_image_primitive_large_limits_stay_finite_and_small():
@@ -325,7 +393,7 @@ def test_coercivity_constants_pointwise(grid):
     for i in (0, 5):
         for t in ts:
             lower = c1 * t**1.5 - c1 * 0.5**1.5
-            assert fam.A_eval(i, float(t)) >= lower - 1e-12
+            assert _A_at(fam, i, float(t)) >= lower - 1e-12
 
 
 def test_growth_constant_requires_image(grid):
