@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,10 +96,19 @@ def write_pgm(img: Image, path) -> None:
 # config -> objects
 # ---------------------------------------------------------------------------
 
+def _finite_number(text: str) -> float:
+    """A JSON number or constant as a float; NaN, Infinity and literals
+    that overflow a double are configuration errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as f:
-            cfg = json.load(f)
+            cfg = json.load(f, parse_float=_finite_number, parse_constant=_finite_number)
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
     except json.JSONDecodeError as e:
@@ -240,12 +250,13 @@ def _write_report(outdir: Path, command: str, config: dict, results: dict,
     return path
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, template: str, columns) -> None:
+    """One line per index of the equal-length arrays in ``columns``,
+    formatted by the %-template ``template`` (``%d`` for ints, ``%.17g``
+    for floats, which round-trips every double)."""
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                             for v in row) + "\n")
+        f.writelines(template % row for row in zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def _jsonable(obj):
@@ -310,9 +321,9 @@ def cmd_path_scan(cfg: dict, outdir: Path, seed: int) -> int:
     except (KeyError, ValueError) as e:
         raise ConfigError(str(e)) from e
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "path_scan.csv",
-               ["theta", "beta", "beta_prime", "cor64_gap"],
-               ((float(a), float(b), float(c), float(d)) for a, b, c, d in scan.csv_rows()))
+    _write_csv(outdir / "path_scan.csv", ["theta", "beta", "beta_prime", "cor64_gap"],
+               "%.17g,%.17g,%.17g,%.17g\n",
+               (scan.thetas, scan.beta, scan.beta_prime, scan.cor64_gap))
     on_unit = (scan.thetas >= 0.0) & (scan.thetas <= 1.0)
     ok = (scan.min_beta_prime_step >= -1e-10
           and scan.fd_max_rel_err <= 1e-6
@@ -369,15 +380,15 @@ def cmd_solve(cfg: dict, outdir: Path, seed: int) -> int:
                                residual_tol=scfg.residual_tol)
     outdir.mkdir(parents=True, exist_ok=True)
     U = result.U.values
+    x = grid.quad_points
     if grid.dim == 1:
-        rows = ((int(i), float(grid.quad_points[i, 0]), float(U.ravel()[i]))
-                for i in range(grid.npoints))
-        _write_csv(outdir / "solution.csv", ["i", "x", "value"], rows)
+        _write_csv(outdir / "solution.csv", ["i", "x", "value"], "%d,%.17g,%.17g\n",
+                   (np.arange(grid.npoints), x[:, 0], U.ravel()))
     else:
-        rows = ((int(i), int(j), float(grid.quad_points[i * grid.n[1] + j, 0]),
-                 float(grid.quad_points[i * grid.n[1] + j, 1]), float(U[i, j]))
-                for i in range(grid.n[0]) for j in range(grid.n[1]))
-        _write_csv(outdir / "solution.csv", ["i", "j", "x1", "x2", "value"], rows)
+        # quadrature points run row-major over (i, j)
+        i, j = np.divmod(np.arange(grid.npoints), grid.n[1])
+        _write_csv(outdir / "solution.csv", ["i", "j", "x1", "x2", "value"],
+                   "%d,%d,%.17g,%.17g,%.17g\n", (i, j, x[:, 0], x[:, 1], U.ravel()))
         if result.in_unit_box:
             img = Image(width=grid.n[1], height=grid.n[0], values=U)
             write_pgm(img, outdir / "solution.pgm")
@@ -451,10 +462,12 @@ def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
 
 
 def _total_variation(vals: np.ndarray, grid: Grid) -> float:
+    """Anisotropic discrete total variation: per axis, the sum of |jumps|
+    across cell faces times the face area, the other axes' spacings."""
     tv = 0.0
     for axis in range(vals.ndim):
         d = np.abs(np.diff(vals, axis=axis))
-        tv += float(d.sum()) * float(np.prod(grid.h))
+        tv += float(d.sum()) * float(np.prod(np.delete(grid.h, axis)))
     return tv
 
 

@@ -132,6 +132,15 @@ class OperatorFamily:
 
     # -- subclass hooks --------------------------------------------------
 
+    def point_params(self) -> np.ndarray:
+        """The per-point parameter tuples, shape (npoints, k).
+
+        Contract: Phi, its derivative and A depend on the point only through
+        this tuple, so two points with the same row give the same values at
+        every s.  The hypothesis validators test one point per distinct row.
+        """
+        raise NotImplementedError
+
     def _phi(self, s, idx):
         raise NotImplementedError
 
@@ -157,6 +166,10 @@ class MultiphaseFamily(OperatorFamily):
         self.weights = tuple(weights)
         self.d0 = d0
         self.d0_tilde = d0_tilde
+
+    def point_params(self) -> np.ndarray:
+        """Every phase's p_k(x), then every phase's w_k(x)."""
+        return np.column_stack([p.values for p in self.exponents] + list(self.weights))
 
     def _phi(self, s, idx):
         out = np.zeros_like(s)
@@ -194,6 +207,10 @@ class ImageFamily(OperatorFamily):
         self._tau0 = min(0.5, 1.0 / self.delta)
         ln_ratio = (-1.0) ** np.arange(_SERIES_TERMS) / np.arange(1.0, _SERIES_TERMS + 1)
         self._series = _series_power(ln_ratio, self.delta)
+
+    def point_params(self) -> np.ndarray:
+        """p(x); eps, delta and alpha are shared by every point."""
+        return self.p.values[:, None]
 
     def _phi(self, s, idx):
         p = self.p.values[idx]

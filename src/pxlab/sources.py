@@ -84,6 +84,16 @@ class SourceFamily:
         idx = np.arange(self.npoints) if points is None else np.asarray(points)
         return np.broadcast_arrays(s, idx)
 
+    def point_params(self) -> np.ndarray:
+        """The per-point parameter tuples, shape (npoints, k).
+
+        Contract: f, F, their extensions and f' depend on the point only
+        through this tuple, so two points with the same row give the same
+        values at every s.  The hypothesis validators test one point per
+        distinct row.
+        """
+        raise NotImplementedError
+
     def _f(self, s, idx):
         raise NotImplementedError
 
@@ -105,6 +115,10 @@ class PowerSource(SourceFamily):
         strict = bool(alpha < 2.0 and np.min(r1 + r2) > 0.0)
         self.r1, self.r2, self.q1, self.q2 = r1, r2, q1, q2
         super().__init__(npoints=npts, gamma=gamma, alpha=alpha, strict13_flag=strict)
+
+    def point_params(self) -> np.ndarray:
+        """r1(x), r2(x), q1(x), q2(x)."""
+        return np.column_stack([self.r1, self.r2, self.q1, self.q2])
 
     def _f(self, s, idx):
         return -self.r1[idx] * s ** self.q1[idx] - self.r2[idx] * s ** self.q2[idx]
@@ -128,6 +142,10 @@ class FidelitySource(SourceFamily):
         self.mu = float(mu)
         super().__init__(npoints=g.shape[0], gamma=float(mu), alpha=alpha,
                          strict13_flag=True)
+
+    def point_params(self) -> np.ndarray:
+        """g(x); mu is shared by every point."""
+        return self.g[:, None]
 
     def _f(self, s, idx):
         return self.mu * (self.g[idx] - s)

@@ -1,10 +1,12 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from pxlab.cli import Image, main, read_pgm, write_pgm
+from pxlab import build_grid, synthetic_image
+from pxlab.cli import Image, _total_variation, _write_csv, main, read_pgm, write_pgm
 
 
 def _write_cfg(tmp_path, name, cfg):
@@ -142,6 +144,14 @@ BAD_CONFIGS = {
                                         "weights": [1]}}),
     "source-mu-a-list": ("solve", _SMALL | {"source": {"kind": "fidelity", "mu": [1]}}),
     "solver-tol-a-list": ("solve", _SMALL | {"solver": {"tol": [1]}}),
+    # json.dumps writes NaN and Infinity, which json.load accepts by default
+    "source-mu-nan": ("solve", _SMALL | {"source": {"kind": "fidelity", "mu": math.nan}}),
+    "source-r1-nan": ("solve", _SMALL | {"source": {"kind": "power", "r1": math.nan}}),
+    "denoise-eps-nan": ("denoise", {"denoise": {"n": 8, "eps": math.nan}}),
+    "grid-extent-nan": ("solve", _SMALL | {"grid": {"dim": 1, "n": 8, "extent": math.nan}}),
+    "operator-weight-nan": (
+        "solve", _SMALL | {"operator": {"kind": "single", "p": 2.0, "weight": math.nan}}),
+    "solver-max-iters-infinity": ("solve", _SMALL | {"solver": {"max_iters": math.inf}}),
 }
 
 
@@ -429,3 +439,37 @@ def test_denoise_checkerboard_smoothing_reported(tmp_path):
     rep = json.loads((out / "denoise_report.json").read_text())
     # smoothing is qualitative: the report carries both numbers
     assert rep["results"]["tv_output"] < rep["results"]["tv_input"]
+
+
+def test_config_number_overflowing_a_double_is_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"grid": {"dim": 1, "n": 8, "extent": 1e400}}')
+    assert main(["check-hypotheses", "--config", str(path),
+                 "--output", str(tmp_path / "out")]) == 2
+    assert "finite" in json.loads((tmp_path / "out" / "error.json").read_text())["error"]
+
+
+def test_csv_writer_matches_the_fstring_reference(tmp_path):
+    ints = np.array([0, 7, -3, 123456789, 2**53 + 1])
+    floats = np.array([-0.0, 5e-324, 1e300, 0.1 + 0.2, 1.0 / 3.0])
+    more = np.array([2.0 / 3.0, -1.7976931348623157e308, 1e-310, 12.0, np.pi])
+    path = tmp_path / "rows.csv"
+    _write_csv(path, ["i", "a", "b"], "%d,%.17g,%.17g\n", (ints, floats, more))
+    reference = "i,a,b\n" + "".join(
+        ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in zip(ints.tolist(), floats.tolist(), more.tolist()))
+    assert path.read_bytes() == reference.encode()
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_total_variation_of_the_first_coordinate(n):
+    # u = x1 jumps by h across each of the (n - 1) n faces normal to x1, of area h
+    grid = build_grid(2, n, 1.0)
+    u = grid.quad_points[:, 0].reshape(n, n)
+    assert _total_variation(u, grid) == pytest.approx((n - 1) / n, rel=1e-12)
+
+
+def test_total_variation_is_resolution_independent():
+    tv = [_total_variation(synthetic_image(n, seed=7), build_grid(2, n, 1.0))
+          for n in (64, 128)]
+    assert abs(tv[1] - tv[0]) < 0.1 * tv[0]
