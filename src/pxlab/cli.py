@@ -101,14 +101,23 @@ def _finite_number(text: str) -> float:
     that overflow a double are configuration errors."""
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"config numbers must be finite, got {text}")
+        shown = text if len(text) <= 32 else f"{text[:16]}... ({len(text)} characters)"
+        raise ConfigError(f"config numbers must be finite, got {shown}")
     return value
+
+
+def _finite_int(text: str) -> int:
+    """A JSON integer literal as an int; one that overflows a double is a
+    configuration error, which also keeps int() within its digit limit."""
+    _finite_number(text)
+    return int(text)
 
 
 def load_config(path) -> dict:
     try:
         with open(path) as f:
-            cfg = json.load(f, parse_float=_finite_number, parse_constant=_finite_number)
+            cfg = json.load(f, parse_float=_finite_number, parse_constant=_finite_number,
+                            parse_int=_finite_int)
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
     except json.JSONDecodeError as e:
@@ -368,6 +377,7 @@ def _solve_results(gate, gate_ok: bool, result) -> dict:
         "iterations": result.iterations,
         "hvps": result.hvps,
         "residual_norm": result.residual_norm,
+        "residual_floor": result.residual_floor,
         "ess_inf": result.ess_inf,
         "in_unit_box": result.in_unit_box,
     }

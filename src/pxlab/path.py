@@ -63,10 +63,6 @@ class BetaScan:
     fd_max_rel_err: float
     strict_gap_ok: bool | None
 
-    def csv_rows(self):
-        for k in range(self.thetas.size):
-            yield (self.thetas[k], self.beta[k], self.beta_prime[k], self.cor64_gap[k])
-
 
 def make_path(w1: JetField, w2: JetField, alpha: float) -> PathContext:
     """Build the segment context; rejects nonpositive fields and sampled

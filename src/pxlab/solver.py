@@ -12,12 +12,12 @@ with D the stencil gradient, D^T its adjoint and w the quadrature weights.
 Minimization is a matrix-free truncated Newton-CG method (inexact Newton
 with Eisenstat-Walker forcing terms): preconditioned conjugate gradients
 on H, applied only through Hessian-vector products, give each step, and
-a line search on the energy globalizes it while the predicted decrement
-is resolvable in float64.  The preconditioner M = c D^T D + m freezes H's
-coefficients at their means once per Newton step; the DCT-II
-diagonalizes D^T D exactly (:func:`grid.stencil_symbol`), so M^{-1} costs
-O(N log N) and the CG work per Newton step does not grow with the grid
-where the coefficients vary mildly.
+an Armijo line search on energy differences globalizes it.  The
+preconditioner M = c D^T D + m freezes H's coefficients at their means
+once per Newton step; the DCT-II diagonalizes D^T D exactly
+(:func:`grid.stencil_symbol`), so M^{-1} costs O(N log N) and the CG work
+per Newton step does not grow with the grid where the coefficients vary
+mildly.
 
 No projection onto [0, 1] is performed: the extension Fbar penalizes
 exterior values, and the result reports any violation instead of hiding it.
@@ -47,6 +47,7 @@ CG_MAX_ITERS = 400
 ETA_MAX = 0.1  # loosest relative residual a CG solve stops at
 SUFFICIENT_DECREASE = 1e-4  # Armijo constant of the energy line search
 MAX_HALVINGS = 40
+FLOOR_SEED = 0  # signs of the perturbation that measures the rounding floor
 # A solve whose best residual has not halved within this many Newton
 # steps has stalled.
 STALL_STEPS = 20
@@ -78,10 +79,14 @@ class SolveResult:
     """Outcome of :func:`minimize`.
 
     ``iterations`` counts Newton steps and ``hvps`` the Hessian-vector
-    products their conjugate-gradient solves spent; ``energy_history``
-    holds the start energy and the energy after each step the line search
-    accepted (nonincreasing); ``note`` says why an unconverged solve
-    stopped.
+    products their conjugate-gradient solves spent; ``energy`` is
+    :func:`discrete_energy` of ``U``; ``energy_history`` holds the start
+    energy, then adds the energy change of each step the line search
+    accepted (nonincreasing).  ``converged`` means ``residual_norm`` meets
+    the tolerance, and nothing else.  An unconverged solve says why it
+    stopped in ``note`` and carries ``residual_floor``, the residual sup
+    norm that a 1-ulp rounding of ``U`` alone produces (None when
+    converged); when the tolerance lies below that floor the note says so.
     """
 
     U: GridFunction
@@ -93,6 +98,7 @@ class SolveResult:
     converged: bool
     in_unit_box: bool
     note: str = ""
+    residual_floor: float | None = None
     energy_history: list = field(default_factory=list, repr=False)
 
     @property
@@ -227,15 +233,18 @@ def minimize(cfg: SolveConfig) -> SolveResult:
     tolerance eta = 0.9 (|g_k| / |g_{k-1}|)^2 (their choice 2, capped at
     ETA_MAX), stopping at negative curvature, which the concave extension
     of Fbar outside [0, 1] can produce.  No step moves a node further out
-    of STATE_BAND.  While the predicted decrement -g.d exceeds 64 ulp of
-    max(1, |E|), an Armijo line search on the energy (halving the step)
-    accepts it, so the recorded energy
-    history decreases monotonically.  Below that the energy cannot
-    certify a step any more, and full Newton steps are taken as long as
-    they lower the residual sup norm.  The solve stops when the residual
-    meets the tolerance, when the residual stops improving (converged is
-    then False and ``note`` says why), or after ``max_iters`` Newton steps.
-    Deterministic: identical configs produce identical iterates.
+    of STATE_BAND.  One Armijo line search (halving the step) accepts it:
+    the energy change from U to V = U + t d is taken as a difference,
+    the quadrature of A(|D V|) - A(|D U|) minus that of
+    :meth:`SourceFamily.Fbar_diff`, not as a difference of two energies,
+    so it resolves steps far below the rounding of |E|.  The solve stops
+    when the residual sup norm meets the tolerance (``converged``), or
+    with ``converged`` False and a ``note`` saying why: the line search
+    failed, the residual did not halve within STALL_STEPS Newton steps,
+    the step left the band, or ``max_iters`` Newton steps were spent.  An
+    unconverged solve also measures its rounding floor (see
+    :func:`_rounding_floor`), and the note says when the tolerance lies
+    below it.  Deterministic: identical configs produce identical iterates.
     """
     grid = cfg.grid
     if isinstance(cfg.init, GridFunction):
@@ -249,17 +258,19 @@ def minimize(cfg: SolveConfig) -> SolveResult:
     if not np.all(np.isfinite(U)):
         raise ValueError("initial state contains non-finite values")
 
-    energy = lambda u: discrete_energy(cfg.fam, cfg.src, u.reshape(grid.n), grid)
-    resid = lambda u: discrete_residual(cfg.fam, cfg.src, u.reshape(grid.n), grid).values.ravel()
-    eps = float(np.finfo(float).eps)
+    fam, src = cfg.fam, cfg.src
+    A_at = lambda u: fam.A_batch(discrete_gradient(u.reshape(grid.n), grid).grad_norms())
+    # discrete_energy(u), given A at u's stencil gradients
+    energy = lambda A_u, u: integrate(A_u, grid) - integrate(src.Fbar_vals(u), grid)
+    resid = lambda u: discrete_residual(fam, src, u.reshape(grid.n), grid).values.ravel()
 
-    E = energy(U)
+    A_U = A_at(U)  # A at the stencil gradients of the current state
+    E = energy(A_U, U)
     history = [E]
     g = resid(U)
     rnorm = residual_norm(g, grid)
     best, best_at = rnorm, 0
     gnorm_prev = None
-    energy_phase = True
     note = ""
     iterations = hvps = 0
 
@@ -274,7 +285,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         eta = ETA_MAX if gnorm_prev is None else min(ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
         # no need to solve the linear model beyond half the tolerance
         eta = max(eta, 0.5 * cfg.residual_tol * float(grid.quad_weights.min()) / gnorm)
-        hvp, precond = discrete_hessian(cfg.fam, cfg.src, U.reshape(grid.n), grid)
+        hvp, precond = discrete_hessian(fam, src, U.reshape(grid.n), grid)
         d, spent = _truncated_cg(hvp, precond, g, eta)
         hvps += spent
         if not np.all(np.isfinite(d)):
@@ -286,42 +297,38 @@ def minimize(cfg: SolveConfig) -> SolveResult:
             break
         d *= t_max
         slope = float(g @ d)
-        if energy_phase and -slope <= 64.0 * eps * max(1.0, abs(E)):
-            energy_phase = False
-        if energy_phase:
-            t = 1.0
-            for _ in range(MAX_HALVINGS):
-                E_new = energy(U + t * d)
-                if E_new <= E + SUFFICIENT_DECREASE * t * slope:
-                    break
-                t *= 0.5
-            else:
-                energy_phase = False  # the energy no longer resolves the step
-        if energy_phase:
-            U = U + t * d
-            E = E_new
-            history.append(E)
-            g_new = resid(U)
-        else:
-            g_new = resid(U + d)
-            if residual_norm(g_new, grid) >= rnorm:
-                note = "residual stopped improving under full Newton steps"
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            V = U + t * d
+            A_V = A_at(V)
+            dE = integrate(A_V - A_U, grid) - integrate(src.Fbar_diff(U, V), grid)
+            if dE <= SUFFICIENT_DECREASE * t * slope:
                 break
-            U = U + d
+            t *= 0.5
+        else:
+            note = "line search failed"
+            break
+        U, A_U = V, A_V
+        E += dE
+        history.append(E)
         iterations += 1
         gnorm_prev = gnorm
-        g = g_new
+        g = resid(U)
         rnorm = residual_norm(g, grid)
         if rnorm <= 0.5 * best:
             best, best_at = rnorm, iterations
 
-    if not energy_phase:
-        E = energy(U)
     converged = rnorm <= cfg.residual_tol
+    floor = None
+    if not converged:
+        floor = _rounding_floor(resid, U, g, grid)
+        if cfg.residual_tol < floor:
+            note += (f"; tolerance {cfg.residual_tol:g} is below the rounding floor"
+                     f" {floor:.2g}")
     lo, hi = float(U.min()), float(U.max())
     return SolveResult(
         U=GridFunction(U.reshape(grid.n)),
-        energy=E,
+        energy=energy(A_U, U),
         residual_norm=rnorm,
         iterations=iterations,
         hvps=hvps,
@@ -329,8 +336,20 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         converged=converged,
         in_unit_box=(lo >= -1e-12 and hi <= 1.0 + 1e-12),
         note=note,
+        residual_floor=floor,
         energy_history=history,
     )
+
+
+def _rounding_floor(resid, U, g, grid: Grid) -> float:
+    """The residual sup norm that rounding U alone can produce: the norm of
+    resid(U + sigma spacing(U)) - g, with g = resid(U) and sigma random
+    signs from a fixed seed, i.e. the residual change under a 1-ulp
+    perturbation of every node.  Random rather than alternating signs: an
+    odd-even pattern lies in the centered stencil's kernel and would hide
+    the flux part."""
+    sigma = np.random.default_rng(FLOOR_SEED).choice((-1.0, 1.0), size=U.shape)
+    return residual_norm(resid(U + sigma * np.spacing(U)) - g, grid)
 
 
 def _band_limit(U, d):

@@ -69,6 +69,19 @@ class SourceFamily:
         above = self._F1[idx] + self._f1[idx] * (s - 1.0) - 0.5 * self.gamma * (s - 1.0) ** 2
         return np.where(s < 0.0, below, np.where(s <= 1.0, self._F(mid, idx), above))
 
+    def Fbar_diff(self, u, v):
+        """Fbar(v) - Fbar(u) per point, as the integral of fbar over [u, v]
+        split at the kinks 0 and 1, each piece in a closed form whose
+        rounding error is relative to that piece, not to Fbar(u) or Fbar(v)
+        as a difference of :meth:`Fbar_vals` would be."""
+        u, v, idx = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                        np.asarray(v, dtype=float), np.arange(self.npoints))
+        a, b = np.minimum(u, 0.0), np.minimum(v, 0.0)
+        below = (b - a) * (self._f0[idx] + 0.5 * self.gamma * (a + b))
+        a, b = np.maximum(u, 1.0) - 1.0, np.maximum(v, 1.0) - 1.0
+        above = (b - a) * (self._f1[idx] - 0.5 * self.gamma * (a + b))
+        return below + self._F_diff(np.clip(u, 0.0, 1.0), np.clip(v, 0.0, 1.0), idx) + above
+
     def fbar_prime_vals(self, s, points=None):
         """The s-derivative of fbar: f' on [0, 1], +gamma below, -gamma above.
 
@@ -103,6 +116,10 @@ class SourceFamily:
     def _df(self, s, idx):
         raise NotImplementedError
 
+    def _F_diff(self, a, b, idx):
+        """F(b) - F(a) for a, b in [0, 1], without cancellation."""
+        raise NotImplementedError
+
 
 class PowerSource(SourceFamily):
     """f(x, s) = -r1(x) s^q1(x) - r2(x) s^q2(x) with nonnegative coefficients."""
@@ -133,6 +150,22 @@ class PowerSource(SourceFamily):
         return (-self.r1[idx] * s ** (q1 + 1.0) / (q1 + 1.0)
                 - self.r2[idx] * s ** (q2 + 1.0) / (q2 + 1.0))
 
+    def _F_diff(self, a, b, idx):
+        e1, e2 = self.q1[idx] + 1.0, self.q2[idx] + 1.0
+        return (-self.r1[idx] * _power_diff(a, b, e1) / e1
+                - self.r2[idx] * _power_diff(a, b, e2) / e2)
+
+
+def _power_diff(a, b, e):
+    """b^e - a^e for a, b >= 0 as -sign(b - a) m^e expm1(e log1p(-|b - a| / m)),
+    accurate to a few ulp of the result however close a and b are.  The
+    base m is the larger endpoint, so expm1 stays in [-1, 0] and cannot
+    overflow where the smaller one is tiny."""
+    m = np.maximum(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.expm1(e * np.log1p(-np.abs(b - a) / m))
+    return np.where(m > 0.0, -np.sign(b - a) * m ** e * rel, 0.0)
+
 
 class FidelitySource(SourceFamily):
     """Data-fidelity source f(x, s) = mu (g(x) - s) pulling toward g."""
@@ -155,6 +188,9 @@ class FidelitySource(SourceFamily):
 
     def _F(self, s, idx):
         return self.mu * (self.g[idx] * s - 0.5 * s * s)
+
+    def _F_diff(self, a, b, idx):
+        return self.mu * (b - a) * (self.g[idx] - 0.5 * (a + b))
 
 
 def make_power_source(r1, r2, q1, q2, npoints: int | None = None,

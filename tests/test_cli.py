@@ -10,8 +10,9 @@ from pxlab.cli import Image, _total_variation, _write_csv, main, read_pgm, write
 
 
 def _write_cfg(tmp_path, name, cfg):
+    """Writes cfg as JSON; a string is written as it stands (raw JSON text)."""
     p = tmp_path / name
-    p.write_text(json.dumps(cfg))
+    p.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     return str(p)
 
 
@@ -152,6 +153,12 @@ BAD_CONFIGS = {
     "operator-weight-nan": (
         "solve", _SMALL | {"operator": {"kind": "single", "p": 2.0, "weight": math.nan}}),
     "solver-max-iters-infinity": ("solve", _SMALL | {"solver": {"max_iters": math.inf}}),
+    # integer literals that overflow a double, the second also past the
+    # digit limit of int(), which json.dumps cannot write
+    "source-mu-overflows-a-double": (
+        "check-hypotheses", _SMALL | {"source": {"kind": "fidelity", "mu": 10**400}}),
+    "grid-n-past-the-int-digit-limit": (
+        "check-hypotheses", '{"grid": {"dim": 1, "n": 1' + "0" * 5000 + "}}"),
 }
 
 
@@ -252,6 +259,7 @@ def test_unconverged_solve_reports_why_it_stopped(tmp_path):
     assert main(["solve", "--config", cfg, "--output", str(out)]) == 1
     res = json.loads((out / "solve_report.json").read_text())["results"]
     assert not res["converged"] and res["note"]
+    assert res["residual_floor"] > 1e-8 and "rounding floor" in res["note"]
 
 
 def test_solve_accepts_field_spec_init(tmp_path):

@@ -219,17 +219,6 @@ def test_default_thetas_inside_interval():
     assert ts2[0] == pytest.approx(-0.45) and ts2[-1] == pytest.approx(1.45)
 
 
-def test_beta_scan_csv_rows():
-    grid = grid_1d(16)
-    fam = single_phase(grid, 2.0, alpha=2.0)
-    src = power_src(grid.npoints, r1=1.0, q1=1.0, alpha=2.0)
-    ctx = make_path(_const_jet(16, 1.0), _const_jet(16, 2.0), 2.0)
-    scan = beta_scan(ctx, fam, src, grid)
-    rows = list(scan.csv_rows())
-    assert len(rows) == scan.thetas.size
-    assert len(rows[0]) == 4
-
-
 def _per_theta_scan(ctx, fam, src, grid):
     """beta, beta' and the finite-difference error composed from one-row
     path_jets/energy_J calls, one theta at a time."""

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import time
 
 import numpy as np
@@ -87,7 +88,7 @@ def test_minimize_constant_fidelity():
     fam = two_phase(grid)
     fid = fidelity_src(grid.npoints, g=0.5, mu=1.0)
     res = minimize(SolveConfig(fam, fid, grid, init=0.2))
-    assert res.converged
+    assert res.converged and res.residual_floor is None
     assert np.allclose(res.U.values, 0.5, atol=1e-6)
     assert res.in_unit_box
 
@@ -307,12 +308,35 @@ def test_hvps_per_newton_step_do_not_grow_with_the_grid(command):
     assert per_step[64] <= 1.5 * per_step[16], per_step
 
 
-def test_single_phase_p15_image_fidelity_converges():
-    # p = 1.5 makes the flux Jacobian unbounded at zero gradient; this 64^2
-    # solve toward the synthetic image ended unconverged under plain CG
-    grid = build_grid(2, 64, 1.0)
+# README solve and denoise problems: Newton steps, HVPs and the SHA-256 of
+# the returned state's bytes
+README_GOLDEN = [
+    ("solve", 16, 3, 6, "cff349b292f443f812522700745daa5c28326016fe40d2c8059f356f957630a2"),
+    ("solve", 32, 3, 6, "5e8003f6dd5ca92bc1a1336da9d273fd31acda970c717fca783df2205ed4aea8"),
+    ("solve", 64, 3, 6, "5d60904d176b4895ec6d5cc28f16e586931357c10c21c81f8591a4f87e311417"),
+    ("denoise", 16, 7, 34, "47cc6e6da9e2f8ace49e4b92d6f868d9e15ec02dce8255354249bfc7208f3058"),
+    ("denoise", 32, 8, 43, "83cd4762aa83040cfd57f5b30a1360c93c152c838f785bbaa36d032c99b652d9"),
+    ("denoise", 64, 9, 52, "fadede420451861b68cbfceeee1181e1fa0342626ea0cfec60e134efe8f43b60"),
+]
+
+
+@pytest.mark.parametrize("command,n,iterations,hvps,digest", README_GOLDEN,
+                         ids=[f"{c}-{n}" for c, n, *_ in README_GOLDEN])
+def test_readme_problems_keep_their_iterates(command, n, iterations, hvps, digest):
+    res = minimize(_readme_problem(command, n))
+    assert res.converged
+    assert (res.iterations, res.hvps) == (iterations, hvps)
+    assert hashlib.sha256(res.U.values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,seed", [(48, 7), (64, 7), (96, 7), (96, 3), (128, 3)])
+def test_single_phase_p15_image_fidelity_converges(n, seed):
+    # p = 1.5 makes the flux Jacobian unbounded at zero gradient; these
+    # solves toward the synthetic image stalled once the energy could no
+    # longer resolve a step as a difference of two energies near 0.125
+    grid = build_grid(2, n, 1.0)
     fam = single_phase(grid, 1.5, alpha=1.1)
-    fid = fidelity_src(grid.npoints, g=synthetic_image(64, seed=7).ravel(), mu=1.0,
+    fid = fidelity_src(grid.npoints, g=synthetic_image(n, seed=seed).ravel(), mu=1.0,
                        alpha=1.1)
     res = minimize(SolveConfig(fam, fid, grid, init=0.2))
     assert res.converged and res.residual_norm <= 1e-8, res.note
@@ -344,6 +368,19 @@ def test_hostile_exponents_end_with_a_verdict(p):
     assert np.all(np.isfinite(res.U.values))
     assert res.converged or (res.note and res.residual_norm > 1e-8)
     assert all(np.diff(res.energy_history) <= 0.0)
+    if p == 1.2:
+        # rounding U by one ulp alone moves the residual past the tolerance
+        assert not res.converged and res.residual_floor > 1e-8
+        assert "below the rounding floor" in res.note
+
+
+def test_exhausted_line_search_ends_the_solve(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
+    res = minimize(_readme_problem("denoise", 8))
+    assert not res.converged and res.iterations == 0
+    assert res.note.startswith("line search failed")
+    assert 0.0 <= res.residual_floor < res.residual_norm
+    assert np.all(res.U.values == 0.9)
 
 
 def test_descent_into_the_concave_extension_is_stopped():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,78 @@ def test_extension_gathers_endpoint_constants_bit_for_bit():
         fbar, Fbar = _extension_formulas(src, full, np.arange(N))
         assert src.fbar_vals(full).tobytes() == fbar.tobytes()
         assert src.Fbar_vals(full).tobytes() == Fbar.tobytes()
+
+
+
+# Fbar_diff against exact rational arithmetic.  Each case gives a source
+# and, on Fractions, f(k, s), F(k, s) and the sup over [0, m] of the sum of
+# |terms| of f(k, .); power exponents are integers, so F is rational.
+def _fidelity_case(rng, n):
+    src = make_fidelity_source(rng.uniform(0.0, 1.0, n), 1.3, 1.5)
+    g, mu = [Fraction(x) for x in src.g], Fraction(src.mu)
+    return (src, lambda k, s: mu * (g[k] - s), lambda k, s: mu * (g[k] * s - s * s / 2),
+            lambda k, m: mu * (g[k] + m))
+
+
+def _power_case(q):
+    def case(rng, n):
+        src = make_power_source(rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n), q, q,
+                                npoints=n)
+        r = [Fraction(a) + Fraction(b) for a, b in zip(src.r1, src.r2)]
+        return (src, lambda k, s: -r[k] * s ** q, lambda k, s: -r[k] * s ** (q + 1) / (q + 1),
+                lambda k, m: r[k] * m ** q)
+    return case
+
+
+def _interval_pairs(rng, kind, n):
+    if kind == "near-equal":
+        u = rng.uniform(-0.5, 1.5, n)
+        u[: n // 4] = [0.0, 1.0] * (n // 8)  # pairs straddling the kinks
+        ulps = rng.integers(-8, 9, n) * np.spacing(np.maximum(np.abs(u), 1e-300))
+        return u, u + np.where(rng.random(n) < 0.5, ulps, u * rng.uniform(-1e-9, 1e-9, n))
+    lo_u, hi_u, lo_v, hi_v = {
+        "below": (-1.0, 0.0, -1.0, 0.0), "inside": (0.0, 1.0, 0.0, 1.0),
+        "above": (1.0, 2.0, 1.0, 2.0), "across-0": (-0.5, 0.0, 0.0, 0.5),
+        "across-1": (0.5, 1.0, 1.0, 1.5), "across-both": (-0.5, 0.0, 1.0, 1.5),
+    }[kind]
+    u, v = rng.uniform(lo_u, hi_u, n), rng.uniform(lo_v, hi_v, n)
+    swap = rng.random(n) < 0.5
+    return np.where(swap, v, u), np.where(swap, u, v)
+
+
+def _exact_Fbar_diff(f, F, term_sup, gamma, k, u, v):
+    """Fbar(v) - Fbar(u) of the exact extension, and the magnitude of its
+    pieces: the sum over [u, v] split at 0 and 1 of |length| times the sup
+    of the |terms| of fbar on the piece."""
+    zero, one = Fraction(0), Fraction(1)  # int kinks would turn s * s / 2 into a float
+    f0, f1 = f(k, zero), f(k, one)
+    below = lambda s: f0 * s + gamma * s * s / 2
+    above = lambda s: f1 * (s - 1) - gamma * (s - 1) ** 2 / 2
+    a, b = min(u, zero), min(v, zero)
+    value = below(b) - below(a)
+    size = abs(b - a) * (abs(f0) + gamma * max(-a, -b))
+    a, b = min(max(u, zero), one), min(max(v, zero), one)
+    value += F(k, b) - F(k, a)
+    size += abs(b - a) * term_sup(k, max(a, b))
+    a, b = max(u, one), max(v, one)
+    value += above(b) - above(a)
+    size += abs(b - a) * (abs(f1) + gamma * (max(a, b) - 1))
+    return value, size
+
+
+@pytest.mark.parametrize("kind", ["below", "inside", "above", "across-0", "across-1",
+                                  "across-both", "near-equal"])
+@pytest.mark.parametrize("case", [_fidelity_case, _power_case(1), _power_case(2)],
+                         ids=["fidelity", "power-q1", "power-q2"])
+def test_Fbar_diff_is_exact_to_a_few_ulp_of_its_pieces(case, kind):
+    n = 64
+    rng = np.random.default_rng(11)
+    src, f, F, term_sup = case(rng, n)
+    u, v = _interval_pairs(rng, kind, n)
+    got = src.Fbar_diff(u, v)
+    gamma, eps = Fraction(src.gamma), Fraction(np.finfo(float).eps)
+    # pieces that underflow round to the subnormal spacing instead
+    tiny = Fraction(np.finfo(float).smallest_subnormal)
+    for k in range(n):
+        exact, size = _exact_Fbar_diff(f, F, term_sup, gamma, k, Fraction(u[k]), Fraction(v[k]))
+        assert abs(Fraction(got[k]) - exact) <= 4 * (eps * size + tiny), (k, u[k], v[k])
