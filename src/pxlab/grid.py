@@ -30,6 +30,11 @@ CATALOG_NAMES = (
     "noisy-image",
 )
 
+# Elements per block of a wide temporary: the hypothesis ladders and the
+# image primitive's series and panels are evaluated a block of rows at a
+# time, so their memory stays bounded whatever the number of rows.
+BLOCK_ELEMENTS = 2 ** 15
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -162,9 +167,30 @@ def integrate(values, grid: Grid):
         raise ValueError(f"expected {grid.npoints} values, got shape {values.shape}")
     weighted = grid.quad_weights * values
     if weighted.ndim == 1:
-        return math.fsum(weighted)
+        return math.fsum(weighted.tolist())
     rows = weighted.reshape(-1, grid.npoints).tolist()
     return np.array([math.fsum(r) for r in rows]).reshape(values.shape[:-1])
+
+
+def row_blocks(nrows: int, width):
+    """Slices of consecutive rows covering ``range(nrows)``, in order.
+
+    ``width`` is the number of elements of a row, one int for every row or
+    an array of per-row counts.  Each block holds at most BLOCK_ELEMENTS
+    elements, or one row when that row alone is wider.
+    """
+    if np.isscalar(width):
+        step = max(1, BLOCK_ELEMENTS // int(width))
+        for lo in range(0, nrows, step):
+            yield slice(lo, min(lo + step, nrows))
+        return
+    ends = np.cumsum(width)
+    lo = 0
+    while lo < nrows:
+        limit = ends[lo] - width[lo] + BLOCK_ELEMENTS
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        yield slice(lo, hi)
+        lo = hi
 
 
 def discrete_gradient(u, grid: Grid) -> JetField:

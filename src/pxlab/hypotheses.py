@@ -11,15 +11,26 @@ random pairs per tuple, which also moves the H13 ladder drawn after them.
 The H8 energy bounds integrate trial fields over every point.  A failing
 check always carries a witness.  These are falsification checks, not
 proofs.
+
+On continuous data every point is its own tuple, so the ladders are
+evaluated in blocks of at most ``grid.BLOCK_ELEMENTS`` values, and each
+check folds its blocks into the result a single evaluation over every
+row would give: the same worst value, verdict, note and witness (the
+first in row-major order among equal slacks).  The H12-lipschitz pairs
+are drawn a block at a time from two copies of the seeded generator, so
+they are the same doubles as whole arrays drawn in turn.  Memory then
+grows with the number of points, not with SAMPLES times it.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import AnalyticFieldSpec, Grid, integrate, sample_jet
+from .grid import AnalyticFieldSpec, Grid, integrate, row_blocks, sample_jet
 from .operators import (ImageFamily, OperatorFamily, image_coercivity_constants,
                         image_growth_constant)
 from .sources import SourceFamily
@@ -120,40 +131,104 @@ def _ladder_matrix(values, reps, ladder):
     return values(s, pts).reshape(reps.size, ladder.size)
 
 
-def _ladder_check(mat, ladder, rows, *, decreasing: bool, strict: bool,
-                  scale=None) -> CheckResult:
-    """Classify rows sampled along an increasing ladder as monotone or not.
+def _further(new: float, old, larger: bool) -> bool:
+    """Whether ``new`` replaces ``old`` (None before the first block) as the
+    running max (``larger``) or min of a fold; NaN wins, as in np.max and
+    np.min."""
+    if old is None:
+        return True
+    if math.isnan(old):
+        return False
+    return math.isnan(new) or (new > old if larger else new < old)
 
-    Consecutive steps are compared against a margin of STRICT_MARGIN times
-    the larger magnitude of the two values (of ``scale`` when given, for rows
-    that are differences of larger terms).  Leading axes of ``mat`` are rows;
-    the witness names the point ``rows[i]`` of the last row axis and the
-    failing pair of the ladder.
+
+class _Peak:
+    """The largest value of blocks fed in row-major order, with a witness at
+    the first position that holds it, as np.max and np.argmax give over the
+    blocks stacked.  ``witness(k)`` names flat position k of a block."""
+
+    def __init__(self):
+        self.value = None
+        self.witness = None
+
+    def add(self, vals: np.ndarray, witness) -> None:
+        value = float(vals.max())
+        if _further(value, self.value, larger=True):
+            self.value, self.witness = value, witness(int(np.argmax(vals)))
+
+    def result(self, note: str = "") -> CheckResult:
+        """Pass when the largest value is at most STRICT_MARGIN."""
+        if self.value <= STRICT_MARGIN:
+            return CheckResult("pass", self.value, None, note=note)
+        return CheckResult("fail", self.value, self.witness, note=note)
+
+
+class _LadderFold:
+    """Classify rows sampled along an increasing ladder as monotone or not,
+    fed a block of rows at a time.
+
+    ``add(mat, rows, scale)`` takes a block: leading axes of ``mat``, then
+    its rows, whose points are ``rows``, then the ladder.  Blocks come in
+    row order, and the result equals one check over all of them stacked
+    along the row axis.  Consecutive steps are compared against a margin of
+    STRICT_MARGIN times the larger magnitude of the two values (of
+    ``scale`` when given, for rows that are differences of larger terms).
     ``worst`` is the smallest step of an increasing check and the largest
     of a decreasing one.  A row set that is monotone within the margin but
-    not strictly beyond it carries the note "non-strict", pass or fail.
+    not strictly beyond it carries the note "non-strict", pass or fail.  A
+    failing check's witness names the point and the failing pair of the
+    ladder at the smallest slack, the first in row-major order among equal
+    slacks.
     """
-    steps = np.diff(mat, axis=-1)
-    worst = float(steps.max() if decreasing else steps.min())
-    if decreasing:
-        np.negative(steps, out=steps)
-    scale = np.abs(mat) if scale is None else scale
-    margins = np.maximum(scale[..., :-1], scale[..., 1:])
-    margins *= STRICT_MARGIN
-    strict_ok = bool(np.all(steps > margins))
-    loose_ok = strict_ok or bool(np.all(steps >= -margins))
-    note = "non-strict" if loose_ok and not strict_ok else ""
-    if strict_ok if strict else loose_ok:
-        return CheckResult("pass", worst, None, note=note)
-    slack = steps - margins if strict else steps + margins
-    idx = np.unravel_index(np.argmin(slack), slack.shape)
-    j = idx[-1]
-    return CheckResult("fail", worst,
-                       (int(rows[idx[-2]]), float(ladder[j]), float(ladder[j + 1])), note=note)
+
+    def __init__(self, ladder, *, decreasing: bool, strict: bool):
+        self.ladder, self.decreasing, self.strict = ladder, decreasing, strict
+        self.worst = None
+        self.strict_ok = self.loose_ok = True
+        self.rows_seen = 0
+        self.least = None  # (slack, position, witness) of the smallest slack
+
+    def add(self, mat, rows, scale=None) -> None:
+        steps = np.diff(mat, axis=-1)
+        worst = float(steps.max() if self.decreasing else steps.min())
+        if _further(worst, self.worst, larger=self.decreasing):
+            self.worst = worst
+        if self.decreasing:
+            np.negative(steps, out=steps)
+        scale = np.abs(mat) if scale is None else scale
+        margins = np.maximum(scale[..., :-1], scale[..., 1:])
+        margins *= STRICT_MARGIN
+        strict_ok = bool(np.all(steps > margins))
+        loose_ok = strict_ok or bool(np.all(steps >= -margins))
+        self.strict_ok &= strict_ok
+        self.loose_ok &= loose_ok
+        offset = self.rows_seen
+        self.rows_seen += mat.shape[-2]
+        if strict_ok if self.strict else loose_ok:
+            return  # a passing block holds no slack as small as a failing one
+        slack = steps - margins if self.strict else steps + margins
+        idx = np.unravel_index(np.argmin(slack), slack.shape)
+        value = float(slack[idx])
+        position = idx[:-2] + (offset + idx[-2], idx[-1])
+        if self.least is not None:
+            old, old_position, _ = self.least
+            tie = value == old or (math.isnan(value) and math.isnan(old))
+            if not (_further(value, old, larger=False) or tie and position < old_position):
+                return
+        j = idx[-1]
+        self.least = (value, position,
+                      (int(rows[idx[-2]]), float(self.ladder[j]), float(self.ladder[j + 1])))
+
+    def result(self) -> CheckResult:
+        note = "non-strict" if self.loose_ok and not self.strict_ok else ""
+        if self.strict_ok if self.strict else self.loose_ok:
+            return CheckResult("pass", self.worst, None, note=note)
+        return CheckResult("fail", self.worst, self.least[2], note=note)
 
 
 def _trial_fields(grid: Grid, seed: int):
-    """Trial jets for the H8 energy bounds, including a steep field."""
+    """Trial jets for the H8 energy bounds, including a steep field; one at
+    a time, so that only their gradient norms are held together."""
     slope = np.zeros(grid.dim)
     slope[0] = 1.0
     steep = slope * 100.0
@@ -164,7 +239,7 @@ def _trial_fields(grid: Grid, seed: int):
         AnalyticFieldSpec("noisy-image", {"seed": seed, "base": 1.0, "amp": 0.5}),
         AnalyticFieldSpec("affine", {"a0": 1.0, "a1": steep}),
     ]
-    return [sample_jet(s, grid) for s in specs]
+    return (sample_jet(s, grid) for s in specs)
 
 
 def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
@@ -212,23 +287,20 @@ def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
         rep.checks["H4"] = CheckResult("fail", worst, (int(reps[np.argmax(final)]), DECAY_RUNG))
 
     ladder = _log_ladder(rng)
-    phi = _ladder_matrix(fam.phi, reps, ladder)
-    rep.checks["H5"] = _ladder_check(phi, ladder, reps, decreasing=False, strict=True)
-
-    bound = a + b * ladder[None, :] ** (fam.exponent.values[reps, None] - 1.0)
-    viol = (phi - bound) / np.maximum(1.0, bound)
-    worst = float(viol.max())
-    note = f"fitted b = {b}" if image else ""
-    if worst <= STRICT_MARGIN:
-        rep.checks["H6"] = CheckResult("pass", worst, None, note=note)
-    else:
-        i, j = np.unravel_index(np.argmax(viol), viol.shape)
-        rep.checks["H6"] = CheckResult("fail", worst, (int(reps[i]), float(ladder[j])),
-                                       note=note)
-
-    ratio = phi / ladder[None, :] ** (fam.r_order - 1.0)
-    rep.checks["H7'" if fam.strict_flag else "H7"] = _ladder_check(
-        ratio, ladder, reps, decreasing=False, strict=fam.strict_flag)
+    h5 = _LadderFold(ladder, decreasing=False, strict=True)
+    h6 = _Peak()
+    h7 = _LadderFold(ladder, decreasing=False, strict=fam.strict_flag)
+    for blk in row_blocks(reps.size, SAMPLES):
+        rows = reps[blk]
+        phi = _ladder_matrix(fam.phi, rows, ladder)
+        h5.add(phi, rows)
+        bound = a + b * ladder[None, :] ** (fam.exponent.values[rows, None] - 1.0)
+        h6.add((phi - bound) / np.maximum(1.0, bound),
+               lambda k: (int(rows[k // SAMPLES]), float(ladder[k % SAMPLES])))
+        h7.add(phi / ladder[None, :] ** (fam.r_order - 1.0), rows)
+    rep.checks["H5"] = h5.result()
+    rep.checks["H6"] = h6.result(note=f"fitted b = {b}" if image else "")
+    rep.checks["H7'" if fam.strict_flag else "H7"] = h7.result()
 
     norms = [v.grad_norms() for v in _trial_fields(grid, seed)]
     energies = [integrate(fam.A_batch(t), grid) for t in norms]
@@ -293,56 +365,78 @@ def check_source_hypotheses(src: SourceFamily, seed: int = 0) -> HypothesisRepor
         rep.checks["H11"] = CheckResult("fail", worst,
                                         (int(reps[i]), 0.0 if -f0[i] > f1[i] else 1.0))
 
-    # f on the broadcast pair gives the same bits as on the flat inputs of
-    # _ladder_matrix and takes about a third of the time on 4096 x 64; fbar,
-    # Fbar and Phi are not faster that way
+    # H12-lipschitz pairs: s1 is the next SAMPLES * R doubles of the stream
+    # and s2 the SAMPLES * R after them, laid out (sample, rep); two copies
+    # of the generator walk them a block at a time, and H13's ladder is
+    # drawn after both
     ladder = np.sort(rng.uniform(0.0, 1.0, size=SAMPLES))
-    shifted = src.f_vals(ladder[None, :], reps[:, None]) + src.lambda0 * ladder[None, :]
-    rep.checks["H12-monotone"] = _ladder_check(shifted, ladder, reps, decreasing=False,
-                                               strict=True)
-
-    s1 = rng.uniform(0.0, 1.0, size=SAMPLES * reps.size)
-    s2 = rng.uniform(0.0, 1.0, size=SAMPLES * reps.size)
-    pts = np.tile(reps, SAMPLES)
-    lip = np.abs(src.f_vals(s1, pts) - src.f_vals(s2, pts)) - src.gamma * np.abs(s1 - s2)
-    worst = float(lip.max())
-    if worst <= STRICT_MARGIN:
-        rep.checks["H12-lipschitz"] = CheckResult("pass", worst, None)
-    else:
-        i = int(np.argmax(lip))
-        rep.checks["H12-lipschitz"] = CheckResult("fail", worst,
-                                                  (int(pts[i]), float(s1[i]), float(s2[i])))
-
+    npairs = SAMPLES * reps.size
+    draw1, draw2 = _fork(rng, 0), _fork(rng, npairs)
+    rng.bit_generator.advance(2 * npairs)
     s_lad = _log_ladder(rng, hi=1.0)
-    ratio = src.f_vals(s_lad[None, :] ** (1.0 / src.alpha), reps[:, None]) \
-        / s_lad[None, :] ** ((src.alpha - 1.0) / src.alpha)
-    rep.checks["H13"] = _ladder_check(ratio, s_lad, reps, decreasing=True, strict=False)
-    rep.checks["H13'"] = _ladder_check(ratio, s_lad, reps, decreasing=True, strict=True)
-    if not src.strict13_flag:
-        rep.informational.add("H13'")
 
-    # the extension the solver's energy is built from; inside [0, 1] it is f
+    lip = _Peak()
+    for blk in row_blocks(npairs, 1):
+        # the points at positions blk of the (sample, rep) layout
+        head = reps[blk.start % reps.size:][:blk.stop - blk.start]
+        pts = np.concatenate([head, np.resize(reps, blk.stop - blk.start - head.size)])
+        s1 = draw1.uniform(0.0, 1.0, size=pts.size)
+        s2 = draw2.uniform(0.0, 1.0, size=pts.size)
+        lip.add(np.abs(src.f_vals(s1, pts) - src.f_vals(s2, pts)) - src.gamma * np.abs(s1 - s2),
+                lambda k: (int(pts[k]), float(s1[k]), float(s2[k])))
+
+    # the extension the solver's energy is built from; inside [0, 1] it is f.
+    # ext-lipschitz: |fbar step| <= gamma |s step|, so fbar + gamma s and
+    # gamma s - fbar are nondecreasing; these rows cancel to constants off
+    # [0, 1], so their margins scale with the terms.  The root-order maps of
+    # t = s^alpha run on the positive rungs, crossing t = 1; t ->
+    # -Fbar(t^(1/alpha)) is convex when its chord slopes are nondecreasing.
     s = EXTENSION_LADDER
-    fbar = _ladder_matrix(src.fbar_vals, reps, s)
     gs = src.gamma * s
-    # |fbar step| <= gamma |s step|: fbar + gamma s and gamma s - fbar nondecreasing.
-    # These rows cancel to constants off [0, 1], so margins scale with the terms.
-    rep.checks["ext-lipschitz"] = _ladder_check(
-        np.stack([fbar + gs, gs - fbar]), s, reps, decreasing=False, strict=False,
-        scale=np.abs(fbar) + np.abs(gs))
-    rep.checks["ext-monotone"] = _ladder_check(fbar + src.lambda0 * s, s, reps,
-                                               decreasing=False, strict=True)
-    # the root-order maps of t = s^alpha on the positive rungs, crossing t = 1;
-    # t -> -Fbar(t^(1/alpha)) is convex when its chord slopes are nondecreasing
     pos = s > 0.0
     root = s[pos]
     t = root ** src.alpha
-    slopes = np.diff(-_ladder_matrix(src.Fbar_vals, reps, root), axis=1) / np.diff(t)
-    rep.checks["ext-convex"] = _ladder_check(slopes, 0.5 * (t[:-1] + t[1:]), reps,
-                                             decreasing=False, strict=False)
-    ratio = fbar[:, pos] / root ** (src.alpha - 1.0)
-    rep.checks["ext-ratio"] = _ladder_check(ratio, t, reps, decreasing=True, strict=False)
+    lad_root = s_lad[None, :] ** (1.0 / src.alpha)
+    lad_power = s_lad[None, :] ** ((src.alpha - 1.0) / src.alpha)
+    folds = {
+        "H12-monotone": _LadderFold(ladder, decreasing=False, strict=True),
+        "H13": _LadderFold(s_lad, decreasing=True, strict=False),
+        "H13'": _LadderFold(s_lad, decreasing=True, strict=True),
+        "ext-lipschitz": _LadderFold(s, decreasing=False, strict=False),
+        "ext-monotone": _LadderFold(s, decreasing=False, strict=True),
+        "ext-convex": _LadderFold(0.5 * (t[:-1] + t[1:]), decreasing=False, strict=False),
+        "ext-ratio": _LadderFold(t, decreasing=True, strict=False),
+    }
+    for blk in row_blocks(reps.size, SAMPLES):
+        rows = reps[blk]
+        # f on the broadcast pair gives the same bits as on the flat inputs
+        # of _ladder_matrix and takes about a third of the time; fbar, Fbar
+        # and Phi are not faster that way
+        folds["H12-monotone"].add(src.f_vals(ladder[None, :], rows[:, None])
+                                  + src.lambda0 * ladder[None, :], rows)
+        ratio = src.f_vals(lad_root, rows[:, None]) / lad_power
+        folds["H13"].add(ratio, rows)
+        folds["H13'"].add(ratio, rows)
+        fbar = _ladder_matrix(src.fbar_vals, rows, s)
+        folds["ext-lipschitz"].add(np.stack([fbar + gs, gs - fbar]), rows,
+                                   scale=np.abs(fbar) + np.abs(gs))
+        folds["ext-monotone"].add(fbar + src.lambda0 * s, rows)
+        slopes = np.diff(-_ladder_matrix(src.Fbar_vals, rows, root), axis=1) / np.diff(t)
+        folds["ext-convex"].add(slopes, rows)
+        folds["ext-ratio"].add(fbar[:, pos] / root ** (src.alpha - 1.0), rows)
+
+    rep.checks["H12-monotone"] = folds.pop("H12-monotone").result()
+    rep.checks["H12-lipschitz"] = lip.result()
+    rep.checks.update((name, fold.result()) for name, fold in folds.items())
+    if not src.strict13_flag:
+        rep.informational.add("H13'")
     return rep
+
+
+def _fork(rng, skip: int):
+    """A generator that continues the stream of ``rng`` ``skip`` draws
+    ahead, leaving ``rng`` where it is."""
+    return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
 
 
 def gate(fam: OperatorFamily, src: SourceFamily, grid: Grid, seed: int) -> tuple:

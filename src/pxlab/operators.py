@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, row_blocks
 
 
 @dataclass(frozen=True)
@@ -265,9 +265,13 @@ class ImageFamily(OperatorFamily):
     def _series_sum(self, tau, p):
         # s^(p-1) ln^delta(1+s) = s^(p-1+delta) g(s)^delta over [0, tau_i],
         # integrated termwise as tau^c sum_k b_k tau^k / (c + k), c = p + delta
+        # a block of rows at a time, each row summed by itself
         c = p + self.delta
         k = np.arange(self._series.size)
-        return tau**c * np.sum(self._series * tau[:, None] ** k / (c[:, None] + k), axis=1)
+        sums = np.empty_like(tau)
+        for blk in row_blocks(tau.size, k.size):
+            sums[blk] = np.sum(self._series * tau[blk, None] ** k / (c[blk, None] + k), axis=1)
+        return tau**c * sums
 
 
 def make_multiphase(exponents, weights, alpha: float | None = None,
@@ -298,6 +302,8 @@ def make_multiphase(exponents, weights, alpha: float | None = None,
         w = np.full(npts, float(w)) if np.isscalar(w) else np.asarray(w, dtype=float)
         if w.shape != (npts,):
             raise ValueError("weights must match the exponent sampling")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if w.min() <= 0.0:
             raise ValueError("weights must be bounded below by a positive constant")
         warr.append(w)
@@ -318,8 +324,8 @@ def make_multiphase(exponents, weights, alpha: float | None = None,
 def make_image_operator(p: ExponentField, eps: float, delta: float,
                         alpha: float) -> OperatorFamily:
     """Image-processing profile with threshold eps and log exponent delta."""
-    if eps <= 0.0 or delta <= 0.0:
-        raise ValueError("eps and delta must be positive")
+    if not (0.0 < eps < math.inf and 0.0 < delta < math.inf):
+        raise ValueError(f"eps and delta must be positive and finite, got {eps}, {delta}")
     if not 1.0 < alpha < p.p_minus:
         raise ValueError(f"need p- > alpha > 1, got alpha={alpha}, p-={p.p_minus}")
     return ImageFamily(p, eps, delta, alpha)
@@ -356,22 +362,24 @@ def _log_panels(a: float, b, q, delta: float) -> np.ndarray:
     Gauss-Legendre rule on equal panels of width <= min(1, 8/(q + delta)),
     anchored at a, is accurate to rounding.  Each row gets its own panel
     count and its panels are summed by themselves (no padding to the
-    longest row), so a row's value and its memory do not depend on the
-    other rows.  Rows with b_i <= a give 0.
+    longest row), so a row's value does not depend on the other rows.  The
+    nodes are built a block of rows at a time, so memory stays bounded by
+    the longest row.  Rows with b_i <= a give 0.
     """
     out = np.zeros_like(b)
     m = np.ceil((b - a) * np.maximum(1.0, (q + delta) / 8.0)).astype(np.intp)
     live = np.flatnonzero(m > 0)
-    if live.size == 0:
-        return out
     m, q = m[live], q[live]
     h = (b[live] - a) / m
-    starts = np.cumsum(m) - m
-    row = np.repeat(np.arange(live.size), m)      # the row of every panel
-    j = np.arange(row.size) - starts[row]         # its index within the row
-    v = a + h[row, None] * (j[:, None] + _GL_NODES)
-    f = np.exp(q[row, None] * v) * np.log1p(np.exp(v)) ** delta
-    out[live] = h * np.add.reduceat((f * _GL_WEIGHTS).ravel(), _GL_NODES.size * starts)
+    for blk in row_blocks(live.size, m * _GL_NODES.size):
+        mb, hb = m[blk], h[blk]
+        starts = np.cumsum(mb) - mb
+        row = np.repeat(np.arange(mb.size), mb)   # the row of every panel
+        j = np.arange(row.size) - starts[row]     # its index within the row
+        v = a + hb[row, None] * (j[:, None] + _GL_NODES)
+        f = np.exp(q[blk][row, None] * v) * np.log1p(np.exp(v)) ** delta
+        out[live[blk]] = hb * np.add.reduceat((f * _GL_WEIGHTS).ravel(),
+                                              _GL_NODES.size * starts)
     return out
 
 

@@ -22,7 +22,7 @@ RATIO_CAP = 1e6
 BOUND_SLACK = 1e-12
 FD_STEP = 1e-4
 # largest stacked evaluation in a scan, in points (rows x grid points); it
-# bounds the temporaries, e.g. the image primitive's (pairs, 60) series terms
+# bounds the stacked jets (the image primitive bounds its own series terms)
 SCAN_CHUNK_POINTS = 4096
 
 

@@ -8,6 +8,8 @@ and Fbar is its C^1 antiderivative with Fbar(x, 0) = 0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -213,6 +215,8 @@ def make_power_source(r1, r2, q1, q2, npoints: int | None = None,
         npoints = r1.shape[0]
     if any(a.shape != (npoints,) for a in arrs):
         raise ValueError("coefficient arrays must share the point count")
+    if not all(np.all(np.isfinite(a)) for a in arrs):
+        raise ValueError("coefficients and exponents must be finite")
     if r1.min() < 0.0 or r2.min() < 0.0:
         raise ValueError("coefficients r1, r2 must be nonnegative")
     if q1.min() < 1.0 or q2.min() < 1.0:
@@ -227,10 +231,10 @@ def make_fidelity_source(g, mu: float, alpha: float) -> SourceFamily:
     it through the hypothesis validators before relying on it.
     """
     g = np.asarray(g, dtype=float).ravel()
-    if g.min() < 0.0 or g.max() > 1.0:
+    if not np.all((g >= 0.0) & (g <= 1.0)):
         raise ValueError("data g must take values in [0, 1]")
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
     return FidelitySource(g, mu, alpha)

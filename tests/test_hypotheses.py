@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pxlab.grid
 from pxlab import (check_operator_hypotheses, check_source_hypotheses,
-                   exponent_field, synthetic_image)
-from pxlab.hypotheses import SAMPLES, _ladder_check, gate
+                   exponent_field, hypotheses, make_image_operator, synthetic_image)
+from pxlab.hypotheses import SAMPLES, _LadderFold, gate
 from pxlab.operators import MultiphaseFamily, OperatorFamily
 from pxlab.sources import FidelitySource
 
@@ -188,6 +189,85 @@ def test_gate_memory_128_with_quantized_data():
     assert peak < 20e6, peak
 
 
+def test_source_gate_memory_128_with_continuous_data():
+    # every point of the synthetic data is its own tuple; the ladders and
+    # the H12-lipschitz pairs run in blocks (the whole 64 x npoints
+    # matrices peaked near 76.7 MB)
+    src = fidelity_src(128 * 128, g=synthetic_image(128, seed=7).ravel())
+    tracemalloc.start()
+    try:
+        check_source_hypotheses(src, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+def _block_reports(g):
+    """Operator and source reports on 1-D data whose every point is its own
+    tuple, passing and failing with witnesses."""
+    n = g.npoints
+    rng = np.random.default_rng(3)
+    w = np.where(np.arange(n) % 5 == 2, 2.0, rng.uniform(0.5, 1.5, n))
+    p = exponent_field(g, rng.uniform(1.6, 3.0, n))
+    steep = MultiphaseFamily([p], [w], 1.5, p.p_minus, None, None)
+    steep.r_order = 3.5
+    ops = [two_phase(g), make_image_operator(p, 1.9, 0.7, 1.5), steep,
+           TripledWhereTwo([p], [w], 1.5, p.p_minus, None, None)]
+    reports = [check_operator_hypotheses(fam, g, seed=2).to_jsonable() for fam in ops]
+    for tamper in (None, "gamma", "lambda0"):
+        # the last source is zero at every point, with distinct tuples: every
+        # row ties, and a witness must name the first point
+        for src in (fidelity_src(n, g=rng.uniform(0.0, 1.0, n), mu=1.3),
+                    power_src(n, r1=rng.uniform(0.0, 2.0, n), q1=rng.uniform(1.0, 3.0, n),
+                              r2=rng.uniform(0.0, 1.0, n)),
+                    power_src(n, r1=0.0, q1=np.linspace(1.0, 3.0, n))):
+            if tamper == "gamma":
+                src.gamma *= 0.3
+            elif tamper == "lambda0":
+                src.lambda0 = -2.0
+            reports.append(check_source_hypotheses(src, seed=5).to_jsonable())
+    return reports
+
+
+def test_reports_do_not_depend_on_the_block_size(monkeypatch):
+    g = grid_1d(24)
+    whole = _block_reports(g)
+    statuses = [c["status"] for r in whole for c in r["checks"].values()]
+    assert statuses.count("fail") >= 10
+    for block in (1, 7, 7 * SAMPLES + 5, 2 ** 40):
+        monkeypatch.setattr(pxlab.grid, "BLOCK_ELEMENTS", block)
+        assert _block_reports(g) == whole, block
+
+
+def test_source_checks_draw_the_seeded_stream_in_order(monkeypatch):
+    # the H12-monotone ladder, then SAMPLES * npoints values of s1 and as
+    # many of s2 laid out (sample, point), then the H13 ladder: the pairs
+    # are walked in blocks, but the draws are those of whole arrays
+    n = 24
+    rng = np.random.default_rng(11)
+    src = power_src(n, r1=rng.uniform(0.5, 2.0, n), q1=rng.uniform(1.0, 3.0, n))
+    src.gamma *= 0.5
+    stream = np.random.default_rng(9)
+    stream.uniform(0.0, 1.0, size=SAMPLES)
+    s1 = stream.uniform(0.0, 1.0, size=SAMPLES * n)
+    s2 = stream.uniform(0.0, 1.0, size=SAMPLES * n)
+    pts = np.tile(np.arange(n), SAMPLES)
+    lip = np.abs(src.f_vals(s1, pts) - src.f_vals(s2, pts)) - src.gamma * np.abs(s1 - s2)
+    i = int(np.argmax(lip))
+    s_lad = np.sort(np.exp(stream.uniform(np.log(1e-6), 0.0, size=SAMPLES)))
+    ladders = []
+    log_ladder = hypotheses._log_ladder
+    monkeypatch.setattr(hypotheses, "_log_ladder",
+                        lambda *a, **k: ladders.append(log_ladder(*a, **k)) or ladders[-1])
+    for block in (7, 2 ** 40):
+        monkeypatch.setattr(pxlab.grid, "BLOCK_ELEMENTS", block)
+        rep = check_source_hypotheses(src, seed=9)
+        assert rep.checks["H12-lipschitz"].worst == lip.max()
+        assert rep.checks["H12-lipschitz"].witness == (int(pts[i]), s1[i], s2[i])
+        assert np.array_equal(ladders.pop(), s_lad)
+
+
 def test_constant_exponent_image_evaluates_one_row(grid, monkeypatch):
     seen = []
     phi = OperatorFamily.phi
@@ -262,10 +342,32 @@ LADDER_TABLE = {
 def test_ladder_classifier_table(rows, strict, decreasing):
     status, note, witness, worst = LADDER_TABLE[rows, strict]
     mat = -ROWS[rows] if decreasing else ROWS[rows]
-    res = _ladder_check(mat, LADDER, np.arange(2), decreasing=decreasing, strict=strict)
-    assert (res.status, res.note, res.witness) == (status, note, witness)
-    # the smallest step of an increasing check, the largest of a decreasing one
-    assert res.worst == (-worst if decreasing else worst)
+    # the rows in one block and a row per block classify the same
+    for width in (2, 1):
+        fold = _LadderFold(LADDER, decreasing=decreasing, strict=strict)
+        for lo in range(0, 2, width):
+            fold.add(mat[lo:lo + width], np.arange(lo, lo + width))
+        res = fold.result()
+        assert (res.status, res.note, res.witness) == (status, note, witness)
+        # the smallest step of an increasing check, the largest of a decreasing one
+        assert res.worst == (-worst if decreasing else worst)
+
+
+def test_ladder_fold_ties_take_the_first_in_row_major_order():
+    # stacked checks (leading axis first): row 0 fails only in the second
+    # stack and row 1 equally in the first, which comes first in row-major
+    # order; then two equal rows, where the first row wins
+    cases = {
+        (1, 2.0, 3.0): np.array([[[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.5, 3.0]],
+                                 [[0.0, 1.0, 0.5, 3.0], [0.0, 1.0, 2.0, 3.0]]]),
+        (0, 1.0, 2.0): np.array([[[0.0, -1.0, 2.0, 3.0], [0.0, -1.0, 2.0, 3.0]]]),
+    }
+    for witness, mat in cases.items():
+        for width in (2, 1):
+            fold = _LadderFold(LADDER, decreasing=False, strict=False)
+            for lo in range(0, 2, width):
+                fold.add(mat[:, lo:lo + width], np.arange(lo, lo + width))
+            assert fold.result().witness == witness
 
 
 class SteepAboveOne(FidelitySource):

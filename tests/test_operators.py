@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import pxlab.grid
 from pxlab import (ExponentField, check_homogeneity, exponent_field,
                    image_coercivity_constants, image_growth_constant,
                    make_image_operator, make_multiphase)
@@ -297,6 +298,35 @@ def test_image_primitive_large_limits_stay_finite_and_small():
         fam.A_batch(np.array([1.0, np.inf]), points=np.array([0, 1]))
 
 
+def test_image_primitive_does_not_depend_on_the_block_size(monkeypatch):
+    # limits below the cap, on [tau0, eps] (eps > tau0 here), above eps and
+    # far out, so that the series and both panel pieces run in blocks
+    rng = np.random.default_rng(4)
+    grid = grid_1d(300)
+    p = exponent_field(grid, rng.uniform(1.6, 3.5, grid.npoints))
+    t = np.concatenate([[0.0, 1e-9, 0.5, 1.9], 10 ** rng.uniform(-4.0, 7.0, grid.npoints - 4)])
+    fam = make_image_operator(p, 1.9, 0.7, 1.5)
+    whole = fam.A_batch(t)
+    for block in (1, 7, 12 * 40 + 5, 2 ** 40):
+        monkeypatch.setattr(pxlab.grid, "BLOCK_ELEMENTS", block)
+        assert np.array_equal(fam.A_batch(t), whole), block
+
+
+def test_image_primitive_memory_on_many_limits_below_the_cap():
+    # every limit has its own series row: (limits, 60) terms in blocks (the
+    # whole arrays peaked near 62.6 MB)
+    grid = grid_1d(65536)
+    fam = image_op(grid, p=2.0, eps=0.5, delta=1.0, alpha=1.5)
+    t = np.linspace(0.0, 0.49, grid.npoints)
+    tracemalloc.start()
+    try:
+        fam.A_batch(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
+
 def test_make_multiphase_validation(grid):
     p2 = exponent_field(grid, 2.0)
     with pytest.raises(ValueError):
@@ -314,6 +344,16 @@ def test_make_multiphase_validation(grid):
     assert make_multiphase([p2], [1.0]).r_order == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_make_multiphase_rejects_non_finite_weights(grid, bad):
+    w = np.ones(grid.npoints)
+    w[3] = bad
+    with pytest.raises(ValueError):
+        make_multiphase([exponent_field(grid, 2.0)], [w])
+    with pytest.raises(ValueError):
+        make_multiphase([exponent_field(grid, 2.0)], [bad])
+
+
 def test_two_phase_profile_sum(grid):
     fam = two_phase(grid)
     assert fam.phi([2.0], points=[0])[0] == pytest.approx(2.0 + 4.0, rel=1e-14)
@@ -329,6 +369,13 @@ def test_make_image_operator_validation(grid):
         make_image_operator(p, -1.0, 1.0, 1.5)
     with pytest.raises(ValueError):
         make_image_operator(p, 0.5, 0.0, 1.5)
+
+
+@pytest.mark.parametrize("eps, delta", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan),
+                                        (0.5, math.inf)])
+def test_make_image_operator_rejects_non_finite_parameters(grid, eps, delta):
+    with pytest.raises(ValueError):
+        make_image_operator(exponent_field(grid, 2.0), eps, delta, 1.5)
 
 
 def test_homogeneity_flags(grid):

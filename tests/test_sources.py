@@ -101,6 +101,19 @@ def test_power_source_validation():
         make_power_source(1.0, 0.0, 1.0, 1.0)  # scalar coefficients need npoints
 
 
+@pytest.mark.parametrize("bad", [{"r1": np.nan}, {"q1": np.nan}, {"r2": np.inf},
+                                 {"q2": np.inf}])
+def test_power_source_rejects_non_finite_parameters(bad):
+    args = {"r1": 1.0, "r2": 0.0, "q1": 1.0, "q2": 1.0} | bad
+    with pytest.raises(ValueError):
+        make_power_source(**args, npoints=N)
+    # one bad point among finite ones
+    arrays = {k: np.full(N, v if k not in bad else 1.0) for k, v in args.items()}
+    arrays[next(iter(bad))][3] = next(iter(bad.values()))
+    with pytest.raises(ValueError):
+        make_power_source(**arrays)
+
+
 def test_fidelity_source_examples():
     fid = fidelity_src(N, g=0.5, mu=1.0)
     assert np.all(fid.f_vals(np.zeros(N)) == 0.5)
@@ -120,6 +133,14 @@ def test_fidelity_validation():
         make_fidelity_source(np.full(N, 0.5), 0.0, 1.5)
     with pytest.raises(ValueError):
         make_fidelity_source(np.full(N, 0.5), 1.0, 2.0)
+
+
+@pytest.mark.parametrize("g, mu", [(0.5, np.nan), (0.5, np.inf), (np.nan, 1.0)])
+def test_fidelity_source_rejects_non_finite_parameters(g, mu):
+    data = np.full(N, 0.5)
+    data[4] = g
+    with pytest.raises(ValueError):
+        make_fidelity_source(data, mu, 1.5)
 
 
 def test_strict_claim_requires_alpha_below_two():
