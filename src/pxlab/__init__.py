@@ -13,12 +13,10 @@ from .sources import (SourceFamily, make_fidelity_source, make_power_source,
                       make_zero_source)
 from .hypotheses import (HypothesisReport, check_operator_hypotheses,
                          check_source_hypotheses)
-from .inequality import (EqualityDiagnosis, IntegralGap, ScalarIneqCase,
-                         equality_diagnose, fixture_counterexample,
+from .inequality import (IntegralGap, ScalarIneqCase, fixture_counterexample,
                          fuzz_scalar_gaps, fuzz_subunit_gaps, integral_gap,
                          pointwise_gap, pointwise_gap_parts, quotient_jet,
-                         ratio_power_jet, scalar_gap, subunit_power_gaps,
-                         truncate_jet)
+                         ratio_power_jet, scalar_gap, subunit_power_gaps)
 from .path import (BetaScan, PathContext, beta_scan, default_thetas, energy_J,
                    make_path, path_jets)
 from .solver import (SolveConfig, SolveResult, discrete_energy,

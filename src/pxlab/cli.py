@@ -255,7 +255,9 @@ def _write_report(outdir: Path, command: str, config: dict, results: dict,
     }
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{command}_report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    # NumPy scalars and arrays go through tolist(); np.float64 is a float
+    text = json.dumps(report, indent=2, sort_keys=True, default=lambda o: o.tolist())
+    path.write_text(text + "\n")
     return path
 
 
@@ -268,22 +270,6 @@ def _write_csv(path: Path, header, template: str, columns) -> None:
         f.writelines(template % row for row in zip(*(np.asarray(c).tolist() for c in columns)))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -294,7 +280,7 @@ def cmd_check_hypotheses(cfg: dict, outdir: Path, seed: int) -> int:
     homog = check_homogeneity(fam, seed=seed)
     results = {
         "hypotheses": rep.to_jsonable(),
-        "homogeneity": _jsonable(vars(homog) | {"agree": homog.agree}),
+        "homogeneity": vars(homog) | {"agree": homog.agree},
         "flags": {"strict_ratio": fam.strict_flag, "homogeneous": fam.homogeneous_flag,
                   "strict_source_ratio": src.strict13_flag},
     }
@@ -315,7 +301,7 @@ def cmd_inequality(cfg: dict, outdir: Path, seed: int) -> int:
     ok = (scalar["min_scaled_gap"] >= -1e-12
           and subunit["min_gap1"] >= -1e-12 and subunit["min_gap2"] >= -1e-12)
     _write_report(outdir, "inequality", cfg,
-                  {"scalar": _jsonable(scalar), "subunit": _jsonable(subunit)}, ok)
+                  {"scalar": scalar, "subunit": subunit}, ok)
     return 0 if ok else 1
 
 
@@ -346,7 +332,7 @@ def cmd_path_scan(cfg: dict, outdir: Path, seed: int) -> int:
         "strict_gap_ok": scan.strict_gap_ok,
         "csv": "path_scan.csv",
     }
-    _write_report(outdir, "path-scan", cfg, _jsonable(results), ok)
+    _write_report(outdir, "path-scan", cfg, results, ok)
     return 0 if ok else 1
 
 
@@ -409,7 +395,7 @@ def cmd_solve(cfg: dict, outdir: Path, seed: int) -> int:
         "csv": "solution.csv",
     }
     ok = gate_ok and result.converged and ver["passed"]
-    _write_report(outdir, "solve", cfg, _jsonable(results), ok)
+    _write_report(outdir, "solve", cfg, results, ok)
     return 0 if ok else 1
 
 
@@ -418,12 +404,14 @@ def cmd_uniqueness(cfg: dict, outdir: Path, seed: int) -> int:
         inits = [float(v) for v in cfg.get("inits", [0.2, 0.9])]
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad inits: {e}") from e
+    if len(inits) < 2:
+        raise ConfigError(f"uniqueness compares at least two inits, got {inits}")
     if not all(0.0 < v <= 1.0 for v in inits):
         raise ConfigError(f"inits must lie in (0, 1], got {inits}")
     grid, fam, src, scfg, gate, gate_ok = _solve_pipeline(cfg, seed)
     report = uniqueness_experiment(scfg, inits)
     ok = gate_ok and report.get("uniqueness_ok", True)
-    results = {"gate_ok": gate_ok, "experiment": _jsonable(report)}
+    results = {"gate_ok": gate_ok, "experiment": report}
     _write_report(outdir, "uniqueness", cfg, results, ok)
     return 0 if ok else 1
 
@@ -467,7 +455,7 @@ def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
         "output": "denoised.pgm" if out_ok else None,
     }
     ok = gate_ok and out_ok
-    _write_report(outdir, "denoise", cfg, _jsonable(results), ok)
+    _write_report(outdir, "denoise", cfg, results, ok)
     return 0 if ok else 1
 
 
@@ -492,7 +480,7 @@ def cmd_fixtures(cfg: dict, outdir: Path, seed: int) -> int:
         report = ineq.fixture_counterexample(name, grid)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    _write_report(outdir, "fixtures", cfg, _jsonable(report), report["passed"])
+    _write_report(outdir, "fixtures", cfg, report, report["passed"])
     return 0 if report["passed"] else 1
 
 

@@ -86,13 +86,8 @@ class HypothesisReport:
         return self.passed(*(n for n in self.checks if n not in self.informational))
 
     def merge(self, other: "HypothesisReport") -> "HypothesisReport":
-        """Both reports' entries: this report's gating ones, then every entry
-        of ``other``, then this report's informational ones."""
-        own = self.checks.items()
-        merged = {n: c for n, c in own if n not in self.informational}
-        merged.update(other.checks)
-        merged.update((n, c) for n, c in own if n in self.informational)
-        return HypothesisReport(checks=merged, seed=self.seed,
+        """Both reports' entries and informational names."""
+        return HypothesisReport(checks=self.checks | other.checks, seed=self.seed,
                                 informational=self.informational | other.informational)
 
     def to_jsonable(self) -> dict:

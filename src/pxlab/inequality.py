@@ -1,6 +1,6 @@
-"""Cross-term inequality machinery: the scalar inequality, its pointwise and
-integral forms, equality diagnostics, quotient/ratio-power jets, truncation,
-and the kinked counterexample fixtures.
+"""Cross-term inequality machinery: the scalar inequality with its equality
+classification, its pointwise and integral forms, quotient/ratio-power jets,
+the kinked counterexample fixtures and the subunit power inequalities.
 
 The scalar inequality compares, for a profile phi with increasing ratio
 phi(t)/t^(r-1),
@@ -46,28 +46,10 @@ class ScalarIneqCase:
 
 
 @dataclass
-class EqualityDiagnosis:
-    lambda_hat: float | None
-    const_hat: float | None
-    max_ratio_dev: float
-    max_const_dev: float
-    phi_scaling_residual: float
-    strict_consistent: bool | None
-    gap: float
-
-
-@dataclass
 class IntegralGap:
     lhs: float
     rhs: float
     gap: float
-
-
-@dataclass
-class TruncationResult:
-    clamped: JetField
-    alpha_root: JetField
-    inside: np.ndarray
 
 
 def scalar_gap(phi, r: float, a: float, b: float, c: float, d: float) -> ScalarIneqCase:
@@ -253,71 +235,6 @@ def quotient_jet(w1: JetField, w2: JetField) -> JetField:
     vals = v2 / v1
     grads = (v1[:, None] * w2.grads - v2[:, None] * w1.grads) / (v1**2)[:, None]
     return JetField(vals, grads)
-
-
-def truncate_jet(w: JetField, eps: float, alpha: float) -> TruncationResult:
-    """Clamp a positive field to [eps, 1/eps] with the masked chain rule.
-
-    The clamped gradient keeps grad w on the untruncated region and vanishes
-    elsewhere; the alpha-root jet applies the same mask to the chain-rule
-    gradient of w^(1/alpha).
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if w.values.min() <= 0.0:
-        raise ValueError("truncation expects a positive field")
-    inside = (w.values > eps) & (w.values < 1.0 / eps)
-    clamped_vals = np.clip(w.values, eps, 1.0 / eps)
-    clamped = JetField(clamped_vals, w.grads * inside[:, None])
-    root_vals = clamped_vals ** (1.0 / alpha)
-    root_grads = (1.0 / alpha) * (w.values ** (1.0 / alpha - 1.0))[:, None] \
-        * w.grads * inside[:, None]
-    return TruncationResult(clamped=clamped, alpha_root=JetField(root_vals, root_grads),
-                            inside=inside)
-
-
-# ---------------------------------------------------------------------------
-# equality diagnostics
-# ---------------------------------------------------------------------------
-
-def equality_diagnose(fam: OperatorFamily, r: float, w1: JetField, w2: JetField,
-                      grid: Grid, tol: float | None = None) -> EqualityDiagnosis:
-    """Fit the structure forced by equality of the integral cross terms.
-
-    For r = 1 the difference w1 - w2 should be a constant; for r > 1 the
-    ratio w2/w1 should be a constant lambda whose profile scaling residual
-    max |Phi(x, lambda |grad w1|) - lambda^(r-1) Phi(x, |grad w1|)| vanishes.
-    With a strictly increasing profile ratio the only equality cases are
-    lambda = 1 or two constant fields.
-    """
-    ig = integral_gap(fam, r, w1, w2, grid)
-    if tol is None:
-        tol = 1e-8 * (1.0 + abs(ig.lhs))
-    if ig.gap > tol:
-        raise ValueError(f"integral gap {ig.gap} exceeds the near-equality band {tol}")
-    if r == 1.0:
-        diff = w1.values - w2.values
-        const_hat = float(np.mean(diff))
-        return EqualityDiagnosis(
-            lambda_hat=None, const_hat=const_hat,
-            max_ratio_dev=float("nan"),
-            max_const_dev=float(np.max(np.abs(diff - const_hat))),
-            phi_scaling_residual=float("nan"),
-            strict_consistent=None, gap=ig.gap)
-    ratio = w2.values / w1.values
-    lam = float(np.mean(ratio))
-    norms = w1.grad_norms()
-    resid = float(np.max(np.abs(fam.phi(lam * norms) - lam ** (r - 1.0) * fam.phi(norms))))
-    strict = None
-    if fam.strict_flag:
-        grads_vanish = max(float(norms.max()), float(w2.grad_norms().max())) <= 1e-10
-        strict = bool(abs(lam - 1.0) <= 1e-8 or grads_vanish)
-    return EqualityDiagnosis(
-        lambda_hat=lam, const_hat=None,
-        max_ratio_dev=float(np.max(np.abs(ratio - lam))),
-        max_const_dev=float("nan"),
-        phi_scaling_residual=resid,
-        strict_consistent=strict, gap=ig.gap)
 
 
 def fixture_counterexample(which: str, grid: Grid) -> dict:

@@ -14,16 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, JetField, alpha_root_jet, integrate, jet_linear
+from .grid import Grid, JetField, alpha_root_jet, integrate, jet_linear, row_blocks
 from .operators import OperatorFamily
 from .sources import SourceFamily
 
 RATIO_CAP = 1e6
 BOUND_SLACK = 1e-12
 FD_STEP = 1e-4
-# largest stacked evaluation in a scan, in points (rows x grid points); it
-# bounds the stacked jets (the image primitive bounds its own series terms)
-SCAN_CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -166,16 +163,16 @@ def beta_scan(ctx: PathContext, fam: OperatorFamily, src: SourceFamily,
             [t - h, t - 2 * h] if k == n - 1 else [t + h, t - h]
     rows = np.concatenate([thetas, near, [0.0, 1.0]])
 
-    # stacked rows in chunks of at most SCAN_CHUNK_POINTS points; every step
-    # is elementwise or a per-row sum, so no value depends on its chunk
+    # stacked rows in blocks of at most grid.BLOCK_ELEMENTS points; every
+    # step is elementwise or a per-row sum, so no value depends on its block
     values = np.empty(rows.size)
     bprime = np.empty(n)
-    per_chunk = max(1, SCAN_CHUNK_POINTS // grid.npoints)
-    for lo in range(0, rows.size, per_chunk):
-        w_t, gamma = path_jets(ctx, rows[lo:lo + per_chunk])
-        values[lo:lo + per_chunk] = energy_J(fam, src, w_t, grid)
-        if lo < n:  # beta' at the scan rows of this chunk
-            m = min(n - lo, per_chunk)
+    for blk in row_blocks(rows.size, grid.npoints):
+        lo = blk.start
+        w_t, gamma = path_jets(ctx, rows[blk])
+        values[blk] = energy_J(fam, src, w_t, grid)
+        if lo < n:  # beta' at the scan rows of this block
+            m = min(n, blk.stop) - lo
             u = alpha_root_jet(JetField(w_t.values[:m], w_t.grads[:m]), ctx.alpha)
             flux = fam.a_batch(u.grads)
             bprime[lo:lo + m] = integrate(np.sum(flux * gamma.grads[:m], axis=-1), grid) \

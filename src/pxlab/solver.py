@@ -68,8 +68,8 @@ class SolveConfig:
     max_iters: int = 50_000  # cap on Newton steps
 
     def __post_init__(self):
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
+        if not 0.0 < self.residual_tol < np.inf:
+            raise ValueError(f"residual_tol must be positive and finite: {self.residual_tol}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 
@@ -426,6 +426,8 @@ def uniqueness_experiment(cfg: SolveConfig, inits) -> dict:
     if abs(cfg.fam.r_order - cfg.src.alpha) > 1e-12:
         raise ValueError("operator ratio order must be certified at r = alpha")
     inits = list(inits)
+    if not inits:
+        raise ValueError("the experiment needs at least one initial state")
     for v in inits:
         arr = np.asarray(v.values if isinstance(v, GridFunction) else v, dtype=float)
         if arr.min() <= 0.0 or arr.max() > 1.0:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pxlab import build_grid, synthetic_image
-from pxlab.cli import Image, _total_variation, _write_csv, main, read_pgm, write_pgm
+from pxlab.cli import (Image, _total_variation, _write_csv, _write_report, main, read_pgm,
+                       write_pgm)
 
 
 def _write_cfg(tmp_path, name, cfg):
@@ -122,6 +123,9 @@ BAD_CONFIGS = {
     "denoise-missing-pgm": ("denoise", {"denoise": {"input": "missing.pgm"}}),
     "denoise-malformed-pgm": ("denoise", {"denoise": {"input": "bad.pgm"}}),
     "uniqueness-init-outside-unit": ("uniqueness", _SMALL | {"inits": [0.2, 1.5]}),
+    # fewer than two limits leave nothing to compare
+    "uniqueness-no-inits": ("uniqueness", _SMALL | {"inits": []}),
+    "uniqueness-one-init": ("uniqueness", _SMALL | {"inits": [0.5]}),
     "inequality-zero-trials": ("inequality", {"trials": 0}),
     "path-scan-unknown-field": (
         "path-scan", _SMALL | {"fields": _FIELDS | {"w1": {"name": "no-such-field"}}}),
@@ -455,6 +459,22 @@ def test_config_number_overflowing_a_double_is_config_error(tmp_path):
     assert main(["check-hypotheses", "--config", str(path),
                  "--output", str(tmp_path / "out")]) == 2
     assert "finite" in json.loads((tmp_path / "out" / "error.json").read_text())["error"]
+
+
+def test_report_writes_numpy_values_as_their_python_values(tmp_path):
+    grid = [[0.1, -2.0, 5e-324], [1e300, 0.0, 3.0]]
+    plain = {"flag": True, "off": False, "count": 2**53 + 1, "x": 0.1 + 0.2,
+             "nan": math.nan, "half": 0.5, "third": 0.3333333432674408, "grid": grid,
+             "nested": [{"k": -7, "t": [True, 1e-310]}]}
+    numpy = {"flag": np.bool_(True), "off": np.bool_(False), "count": np.int64(2**53 + 1),
+             "x": np.float64(0.1 + 0.2), "nan": np.float64(math.nan),
+             "half": np.float32(0.5), "third": np.float32(1.0 / 3.0), "grid": np.array(grid),
+             "nested": [{"k": np.int64(-7), "t": (np.bool_(True), np.float64(1e-310))}]}
+    written = []
+    for name, results in (("plain", plain), ("numpy", numpy)):
+        path = _write_report(tmp_path / name, "solve", {"seed": 1}, results, True)
+        written.append(re.sub(rb'"timestamp": "[^"]*"', b"", path.read_bytes()))
+    assert written[0] == written[1]
 
 
 def test_csv_writer_matches_the_fstring_reference(tmp_path):

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pxlab import (AnalyticFieldSpec, JetField, build_grid, equality_diagnose,
-                   fixture_counterexample, fuzz_scalar_gaps, fuzz_subunit_gaps,
-                   integral_gap, integrate, pointwise_gap, pointwise_gap_parts,
-                   quotient_jet, ratio_power_jet, sample_jet, scalar_gap,
-                   subunit_power_gaps, truncate_jet)
+from pxlab import (AnalyticFieldSpec, JetField, build_grid, fixture_counterexample,
+                   fuzz_scalar_gaps, fuzz_subunit_gaps, integral_gap, integrate,
+                   pointwise_gap, pointwise_gap_parts, quotient_jet, ratio_power_jet,
+                   sample_jet, scalar_gap, subunit_power_gaps)
 from pxlab.inequality import (AC_BD_FLAT, CD_ZERO, NO_EQUALITY, R1_FLAT,
                               STRICT_FORCED)
 
@@ -288,111 +287,6 @@ def test_quotient_equals_log_derivative_form():
     alt = (w2.values / w1.values)[:, None] * (
         w2.grads / w2.values[:, None] - w1.grads / w1.values[:, None])
     assert np.allclose(q.grads, alt, atol=1e-12, rtol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# truncation
-# ---------------------------------------------------------------------------
-
-def _steep_jet(grid):
-    x = grid.quad_points[:, 0]
-    return JetField(np.exp(8 * x - 4), (8 * np.exp(8 * x - 4))[:, None])
-
-
-def test_truncate_jet_clamps_and_masks():
-    grid = grid_1d(64)
-    w = _steep_jet(grid)
-    tr = truncate_jet(w, 0.25, 1.5)
-    inside = (w.values > 0.25) & (w.values < 4.0)
-    assert np.array_equal(tr.inside, inside)
-    assert tr.clamped.values.min() == 0.25
-    assert tr.clamped.values.max() == 4.0
-    assert np.all(tr.clamped.grads[~inside] == 0.0)
-    assert np.array_equal(tr.clamped.grads[inside], w.grads[inside])
-    assert np.array_equal(tr.clamped.values[inside], w.values[inside])
-
-
-def test_truncate_alpha_root_chain_rule():
-    grid = grid_1d(64)
-    w = _steep_jet(grid)
-    alpha = 1.5
-    tr = truncate_jet(w, 0.25, alpha)
-    expected = (1 / alpha) * (w.values ** (1 / alpha - 1))[:, None] * w.grads
-    assert np.allclose(tr.alpha_root.grads[tr.inside], expected[tr.inside], rtol=1e-14)
-    assert np.all(tr.alpha_root.grads[~tr.inside] == 0.0)
-    assert np.allclose(tr.alpha_root.values, tr.clamped.values ** (1 / alpha), rtol=1e-14)
-
-
-def test_truncate_distance_bound_and_convergence():
-    grid = grid_1d(64)
-    w = _steep_jet(grid)
-    l1 = []
-    for eps in (0.25, 0.125, 0.0625, 0.03125):
-        tr = truncate_jet(w, eps, 1.5)
-        assert np.all(np.abs(tr.clamped.values - w.values) <= np.abs(w.values - 1.0) + 1e-15)
-        l1.append(integrate(np.abs(tr.clamped.values - w.values), grid))
-    assert np.all(np.diff(l1) < 0.0)
-    # once the band swallows the range the truncation is the identity
-    tiny = truncate_jet(w, 0.01, 1.5)
-    assert np.array_equal(tiny.clamped.values, w.values)
-
-
-def test_truncate_validation():
-    grid = grid_1d(16)
-    w = JetField(np.ones(16), np.zeros((16, 1)))
-    with pytest.raises(ValueError):
-        truncate_jet(w, 1.5, 1.5)
-    with pytest.raises(ValueError):
-        truncate_jet(JetField(np.zeros(16), np.zeros((16, 1))), 0.25, 1.5)
-
-
-# ---------------------------------------------------------------------------
-# equality diagnostics
-# ---------------------------------------------------------------------------
-
-def test_equality_diagnose_scaled_pair():
-    grid = grid_1d(48)
-    x = grid.quad_points[:, 0]
-    w1 = JetField(1 + x**2, (2 * x)[:, None])
-    w2 = JetField(3 * (1 + x**2), (6 * x)[:, None])
-    fam = single_phase(grid, 2.0, alpha=2.0)
-    # at r equal to the homogeneity order the scaled pair is an equality case
-    diag = equality_diagnose(fam, 2.0, w1, w2, grid)
-    assert diag.lambda_hat == pytest.approx(3.0, rel=1e-14)
-    assert diag.max_ratio_dev <= 1e-12
-    assert diag.phi_scaling_residual <= 1e-12
-    # away from the homogeneity order the same pair is not near equality
-    with pytest.raises(ValueError):
-        equality_diagnose(single_phase(grid, 2.0, alpha=1.5), 1.5, w1, w2, grid)
-
-
-def test_equality_diagnose_identical_and_constants():
-    grid = grid_1d(32)
-    x = grid.quad_points[:, 0]
-    w = JetField(1 + x, np.ones((32, 1)))
-    fam = single_phase(grid, 3.0, alpha=1.5)
-    diag = equality_diagnose(fam, 1.5, w, w, grid)
-    assert diag.lambda_hat == pytest.approx(1.0)
-    assert diag.max_ratio_dev == 0.0
-    assert diag.phi_scaling_residual <= 1e-15
-    assert diag.strict_consistent
-
-    c1 = JetField(np.full(32, 2.0), np.zeros((32, 1)))
-    c2 = JetField(np.full(32, 5.0), np.zeros((32, 1)))
-    diag = equality_diagnose(fam, 1.5, c1, c2, grid)
-    assert diag.lambda_hat == pytest.approx(2.5)
-    assert diag.strict_consistent  # two different constants
-
-
-def test_equality_diagnose_r_one_branch():
-    grid = grid_1d(32)
-    x = grid.quad_points[:, 0]
-    w1 = JetField(1.5 + x**2, (2 * x)[:, None])
-    w2 = JetField(1.2 + x**2, (2 * x)[:, None])
-    fam = two_phase(grid)
-    diag = equality_diagnose(fam, 1.0, w1, w2, grid)
-    assert diag.const_hat == pytest.approx(0.3, rel=1e-12)
-    assert diag.max_const_dev <= 1e-12
 
 
 # ---------------------------------------------------------------------------

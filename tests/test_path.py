@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pxlab.grid
 from pxlab import (JetField, alpha_root_jet, beta_scan, build_grid, default_thetas,
                    energy_J, integrate, jet_linear, make_path, path_jets)
 from pxlab.path import FD_STEP
@@ -288,7 +289,7 @@ def test_stacked_path_jets_errors():
 
 
 @pytest.mark.parametrize("make_fam", [image_op, two_phase])
-def test_scan_memory_stays_bounded_by_the_chunk_cap(make_fam):
+def test_scan_memory_stays_bounded_by_the_block_cap(make_fam):
     grid = build_grid(2, 32, 1.0)
     rng = np.random.default_rng(10)
     ctx = make_path(random_positive_jet(rng, grid), random_positive_jet(rng, grid), 1.5)
@@ -300,5 +301,22 @@ def test_scan_memory_stays_bounded_by_the_chunk_cap(make_fam):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # unchunked, the 125 stacked rows of 1024 points take 20-120 MB
+    # in one block, the 125 stacked rows of 1024 points take 20-120 MB
     assert peak < 16e6
+
+
+def test_scan_does_not_depend_on_the_block_size(monkeypatch):
+    grid = build_grid(2, 8, 1.0)
+    rng = np.random.default_rng(12)
+    ctx = make_path(random_positive_jet(rng, grid), random_positive_jet(rng, grid), 1.5)
+    fam = image_op(grid, alpha=1.5)
+    src = power_src(grid.npoints, r1=1.0, q1=1.0, alpha=1.5)
+    whole = vars(beta_scan(ctx, fam, src, grid))
+    # one row per block, 7 rows (a block straddles the 41 scan rows and the
+    # rows after them), and all 125 rows in one block
+    for block in (1, 7, 7 * grid.npoints + 5, 125 * grid.npoints):
+        monkeypatch.setattr(pxlab.grid, "BLOCK_ELEMENTS", block)
+        scan = vars(beta_scan(ctx, fam, src, grid))
+        for name, want in whole.items():
+            got = np.asarray(scan[name]).tobytes()
+            assert got == np.asarray(want).tobytes(), (block, name)

@@ -183,6 +183,16 @@ def test_solver_config_validation():
         minimize(SolveConfig(fam, src, grid, init=np.ones(5)))
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_solver_config_rejects_a_non_finite_tolerance(tol):
+    # a NaN tolerance fails every comparison, an infinite one meets the
+    # first; neither describes a solve
+    grid = grid_1d(16)
+    with pytest.raises(ValueError, match="positive and finite"):
+        SolveConfig(single_phase(grid, 2.0), zero_src(grid.npoints), grid, init=0.5,
+                    residual_tol=tol)
+
+
 def test_reported_residual_norm_is_the_residual_norm_of_the_result():
     grid = grid_2d(8)
     for fam in (two_phase(grid), image_op(grid)):
@@ -459,6 +469,8 @@ def test_uniqueness_experiment_validation():
     cfg = SolveConfig(fam, fid, grid, init=0.5)
     with pytest.raises(ValueError):
         uniqueness_experiment(cfg, [0.0, 0.5])
+    with pytest.raises(ValueError, match="at least one"):
+        uniqueness_experiment(cfg, [])
     with pytest.raises(ValueError):
         uniqueness_experiment(dataclasses.replace(
             cfg, src=fidelity_src(grid.npoints, g=0.5, mu=1.0, alpha=1.8)), [0.5])
