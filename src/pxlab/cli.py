@@ -386,7 +386,8 @@ def cmd_solve(cfg: dict, outdir: Path, seed: int) -> int:
         _write_csv(outdir / "solution.csv", ["i", "j", "x1", "x2", "value"],
                    "%d,%d,%.17g,%.17g,%.17g\n", (i, j, x[:, 0], x[:, 1], U.ravel()))
         if result.in_unit_box:
-            img = Image(width=grid.n[1], height=grid.n[0], values=U)
+            # in_unit_box admits rounding just outside [0, 1]; pixels may not
+            img = Image(width=grid.n[1], height=grid.n[0], values=np.clip(U, 0.0, 1.0))
             write_pgm(img, outdir / "solution.pgm")
     results = _solve_results(gate, gate_ok, result) | {
         "energy": result.energy,
@@ -447,7 +448,8 @@ def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     out_ok = result.converged and result.in_unit_box
     if out_ok:
-        write_pgm(Image(width=img.width, height=img.height, values=U),
+        # in_unit_box admits rounding just outside [0, 1]; pixels may not
+        write_pgm(Image(width=img.width, height=img.height, values=np.clip(U, 0.0, 1.0)),
                   outdir / "denoised.pgm")
     results = _solve_results(gate, gate_ok, result) | {
         "tv_input": _total_variation(img.values, grid),

@@ -157,10 +157,14 @@ def build_grid(dim: int, n, extent=1.0) -> Grid:
 
 
 def integrate(values, grid: Grid):
-    """Quadrature sum over the grid, exactly rounded (``math.fsum``).
+    """Quadrature sum over the grid, correctly rounded: the value ``math.fsum``
+    returns, bit for bit.
 
     values has shape (..., npoints); a 1-D input gives a float and a
-    stacked one an array holding one sum per row.
+    stacked one an array holding one sum per row.  A 1-D input is summed by
+    ``math.fsum``; stacked rows by :func:`_certified_row_sums`, which hands
+    every row it cannot certify to ``math.fsum``, so a row returns or
+    raises as ``math.fsum`` does.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != (grid.npoints,):
@@ -168,8 +172,48 @@ def integrate(values, grid: Grid):
     weighted = grid.quad_weights * values
     if weighted.ndim == 1:
         return math.fsum(weighted.tolist())
-    rows = weighted.reshape(-1, grid.npoints).tolist()
-    return np.array([math.fsum(r) for r in rows]).reshape(values.shape[:-1])
+    rows = weighted.reshape(-1, grid.npoints)
+    sums = np.empty(rows.shape[0])
+    for blk in row_blocks(rows.shape[0], grid.npoints):
+        sums[blk] = _certified_row_sums(rows[blk])
+    return sums.reshape(values.shape[:-1])
+
+
+def _certified_row_sums(x: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each row of a 2-D array, as ``math.fsum``.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31, 2008): with sigma a power
+    of two at least (n + 2) max |x_ij| over row i, q = (sigma + x) - sigma
+    holds multiples of 2^-53 sigma whose partial sums stay below sigma (for
+    n below 2^26), so their row sum t1 is exact in any order, and x - q is
+    exact.  Its row
+    sum t2 errs by at most gamma_(n-1) sum |x - q| (Higham 2002, in any
+    order), which the bound below covers.  With s = t1 + t2 and e its
+    TwoSum residual, the true sum lies within |e| + bound of s; when that is
+    under half the gap from |s| down to its neighbour toward zero, s is the
+    nearest double and no tie, so it is what ``math.fsum`` returns.  Every
+    other row (non-finite, sigma overflowing, a zero or subnormal sum, a
+    near tie, heavy cancellation) is summed by ``math.fsum`` in row order.
+    """
+    n = x.shape[1]
+    with np.errstate(all="ignore"):
+        _, top = np.frexp(np.max(np.abs(x), axis=1, initial=0.0))
+        sigma = np.ldexp(1.0, top + (n + 1).bit_length())[:, None]
+        q = sigma + x
+        q -= sigma
+        r = x - q
+        t1 = q.sum(axis=1)
+        t2 = r.sum(axis=1)
+        np.abs(r, out=r)
+        bound = r.sum(axis=1) * (n * 2.0 ** -52) + 2.0 ** -1074
+        s = t1 + t2
+        back = s - t1
+        err = np.abs((t1 - (s - back)) + (t2 - back))
+        mag = np.abs(s)
+        ok = np.isfinite(s) & (err + bound < 0.5 * (mag - np.nextafter(mag, 0.0)))
+    s[~ok] = [math.fsum(row) for row in x[~ok].tolist()]
+    return s
 
 
 def row_blocks(nrows: int, width):

@@ -231,14 +231,24 @@ class ImageFamily(OperatorFamily):
         return np.where(s <= self.eps, low, high)
 
     def _A(self, t, idx):
-        # Each integral depends only on its limit and its exponent, so every
-        # distinct (t, p) pair is integrated once and scattered back; the
-        # pairs are complex keys t + ip, which np.unique sorts faster than rows.
-        keys, inverse = np.unique(t.ravel() + 1j * self.p.values[idx].ravel(),
-                                  return_inverse=True)
-        vals = self._A_pairs(np.ascontiguousarray(keys.real),
-                             np.ascontiguousarray(keys.imag))
-        return vals[inverse.ravel()].reshape(t.shape)
+        # Each integral depends only on its limit and its exponent, so the
+        # limits are sorted, the first pair of each run of equal adjacent
+        # (t, p) is integrated, and the values are scattered back: one float
+        # argsort serves every exponent field, and a constant exponent
+        # integrates each distinct t exactly once.
+        shape = t.shape
+        order = np.argsort(t, axis=None)
+        ts = t.ravel()[order]
+        ps = self.p.values[idx.ravel()[order]]
+        first = np.empty(ts.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ts[1:], ts[:-1], out=first[1:])
+        first[1:] |= ps[1:] != ps[:-1]
+        ts, ps = ts[first], ps[first]
+        vals = self._A_pairs(ts, ps)
+        out = np.empty(order.size)
+        out[order] = vals[np.cumsum(first) - 1]
+        return out.reshape(shape)
 
     def _A_pairs(self, t, p):
         # Every step below is elementwise, a reduction over one row's own terms
@@ -256,10 +266,9 @@ class ImageFamily(OperatorFamily):
         out[~low] = self._series_sum(np.full_like(p_top, cap), p_top)[inverse]
         # the rest of the low branch, [tau0, min(t, eps)]
         if eps > tau0:
-            out += _log_panels(math.log(tau0), np.log(np.clip(t, tau0, eps)), p, delta)
+            out += _log_panels(tau0, eps, t, p, delta)
         # above eps the x-dependence factors out of the integral
-        tail = _log_panels(math.log(eps), np.log(np.maximum(t, eps)),
-                           np.full_like(t, self.alpha), delta)
+        tail = _log_panels(eps, math.inf, t, np.broadcast_to(self.alpha, t.shape), delta)
         return out + eps ** (p - self.alpha) * tail
 
     def _series_sum(self, tau, p):
@@ -270,7 +279,10 @@ class ImageFamily(OperatorFamily):
         k = np.arange(self._series.size)
         sums = np.empty_like(tau)
         for blk in row_blocks(tau.size, k.size):
-            sums[blk] = np.sum(self._series * tau[blk, None] ** k / (c[blk, None] + k), axis=1)
+            terms = tau[blk, None] ** k
+            terms *= self._series
+            terms /= c[blk, None] + k
+            sums[blk] = np.sum(terms, axis=1)
         return tau**c * sums
 
 
@@ -354,32 +366,47 @@ def _series_power(a: np.ndarray, delta: float) -> np.ndarray:
     return b
 
 
-def _log_panels(a: float, b, q, delta: float) -> np.ndarray:
-    """Integral of e^(q_i v) ln^delta(1 + e^v) over [a, b_i] for each row i.
+def _log_panels(lo: float, hi: float, t, q, delta: float) -> np.ndarray:
+    """Integral of s^(q_i-1) ln^delta(1+s) over [lo, min(t_i, hi)] for each row i.
 
-    This is the integral of s^(q-1) ln^delta(1+s) over [e^a, e^b] in v = ln s.
-    The integrand is analytic in the strip |Im v| < pi, so the 12-point
-    Gauss-Legendre rule on equal panels of width <= min(1, 8/(q + delta)),
-    anchored at a, is accurate to rounding.  Each row gets its own panel
-    count and its panels are summed by themselves (no padding to the
-    longest row), so a row's value does not depend on the other rows.  The
-    nodes are built a block of rows at a time, so memory stays bounded by
-    the longest row.  Rows with b_i <= a give 0.
+    In v = ln s this is the integral of e^(q_i v) ln^delta(1 + e^v) over
+    [a, b_i], a = ln lo and b_i = ln clip(t_i, lo, hi).  The integrand is
+    analytic in the strip |Im v| < pi, so the 12-point Gauss-Legendre rule
+    on equal panels of width <= min(1, 8/(q + delta)), anchored at a, is
+    accurate to rounding.  Each row gets its own panel count and its panels
+    are summed by themselves (no padding to the longest row), so a row's
+    value does not depend on the other rows.  The nodes are built a block
+    of rows at a time, so memory stays bounded by the longest row.  Rows
+    with t_i <= lo give 0.
     """
+    a = math.log(lo)
+    b = np.log(np.clip(t, lo, hi))
     out = np.zeros_like(b)
     m = np.ceil((b - a) * np.maximum(1.0, (q + delta) / 8.0)).astype(np.intp)
     live = np.flatnonzero(m > 0)
-    m, q = m[live], q[live]
-    h = (b[live] - a) / m
+    m = m[live]
+    h = b[live]
+    del b  # the panels need only their counts and widths
+    h -= a
+    h /= m
     for blk in row_blocks(live.size, m * _GL_NODES.size):
         mb, hb = m[blk], h[blk]
         starts = np.cumsum(mb) - mb
         row = np.repeat(np.arange(mb.size), mb)   # the row of every panel
-        j = np.arange(row.size) - starts[row]     # its index within the row
-        v = a + hb[row, None] * (j[:, None] + _GL_NODES)
-        f = np.exp(q[blk][row, None] * v) * np.log1p(np.exp(v)) ** delta
-        out[live[blk]] = hb * np.add.reduceat((f * _GL_WEIGHTS).ravel(),
-                                              _GL_NODES.size * starts)
+        j = np.arange(row.size, dtype=float)      # its index within the row
+        j -= starts[row]
+        # v = a + h (j + node) and f = e^(q v) ln^delta(1 + e^v) w, in place
+        v = j[:, None] + _GL_NODES
+        v *= hb[row][:, None]
+        v += a
+        f = q[live[blk]][row][:, None] * v
+        np.exp(f, out=f)
+        np.exp(v, out=v)
+        np.log1p(v, out=v)
+        v **= delta
+        f *= v
+        f *= _GL_WEIGHTS
+        out[live[blk]] = hb * np.add.reduceat(f.ravel(), _GL_NODES.size * starts)
     return out
 
 

@@ -371,6 +371,25 @@ def test_denoise_can_start_from_the_input_image(tmp_path):
     assert rep["results"]["converged"]
 
 
+def test_denoise_writes_a_state_rounded_just_below_zero(tmp_path):
+    # half black, half white at mu = 1e6 from the input: the solve converges
+    # to a state about 1e-18 below 0 in places, which in_unit_box admits;
+    # the PGM writer clips it instead of raising
+    vals = np.zeros((16, 16))
+    vals[8:] = 1.0
+    src = tmp_path / "halves.pgm"
+    write_pgm(Image(width=16, height=16, values=vals), src)
+    cfg = _write_cfg(tmp_path, "cfg.json", {
+        "denoise": {"input": str(src), "mu": 1e6, "init": "input"}, "alpha": 1.5})
+    out = tmp_path / "out"
+    code = main(["denoise", "--config", cfg, "--output", str(out)])
+    rep = json.loads((out / "denoise_report.json").read_text())
+    assert rep["results"]["converged"] and rep["results"]["in_unit_box"]
+    assert rep["results"]["output"] == "denoised.pgm"
+    assert code == 0
+    assert np.array_equal(read_pgm(out / "denoised.pgm").values, vals)
+
+
 def test_csv_floats_roundtrip_exactly(tmp_path):
     cfg = _write_cfg(tmp_path, "cfg.json", {
         "grid": {"dim": 1, "n": 16},

@@ -1,10 +1,14 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
+import pxlab.grid
 from pxlab import (AnalyticFieldSpec, GridFunction, JetField, alpha_root_jet,
                    build_grid, discrete_gradient, integrate, jet_linear,
                    sample_jet)
-from pxlab.grid import dct, idct, stencil_symbol
+from pxlab.grid import _certified_row_sums, dct, idct, stencil_symbol
 
 
 def test_build_grid_1d_midpoints():
@@ -78,6 +82,108 @@ def test_integrate_stacked_rows_match_one_row_calls():
             one = integrate(rows[i, j], g)
             assert isinstance(one, float)
             assert out[i, j] == one  # the same exactly rounded sum
+
+
+BIG = sys.float_info.max
+TINY = 5e-324
+INF, NAN = math.inf, math.nan
+# rows whose correctly rounded sum is hard to certify, padded with -0.0 to
+# the grid's points; every one must come out as math.fsum gives it
+EDGE_ROWS = {
+    "cancellation": [[1e16, 1.0, -1e16], [1e300, 1e-300, -1e300], [0.1, 0.2, -0.3],
+                     [1.0, 1e-17, -1.0, 3e-33], [2.0 ** 60, -(2.0 ** 60), 2.0 ** -1000]],
+    "near-ties": [[1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -160],
+                  [1.0, 2.0 ** -53, -(2.0 ** -160)], [1.0 + 2.0 ** -52, 2.0 ** -53],
+                  [2.0, -(2.0 ** -53)], [2.0, -(2.0 ** -54)], [2.0, -(2.0 ** -54), 2.0 ** -200],
+                  [2.0, -(2.0 ** -54), -(2.0 ** -200)], [3.0, 2.0 ** -52, 2.0 ** -300]],
+    "subnormals": [[TINY] * 5, [TINY, -2.0 * TINY, 2.5e-308, 2.5e-308],
+                   [2.2e-308, 2.2e-308, -TINY], [1e-310, -3e-311, 7e-315]],
+    "near-overflow": [[BIG, -BIG, BIG], [BIG / 2, BIG / 2], [BIG, 2.0 ** 969], [BIG, -(2.0 ** 970), 1.0],
+                      [BIG / 3, BIG / 3, BIG / 3], [-BIG, -(2.0 ** 969), 2.0 ** 900]],
+    "zeros": [[0.0], [-0.0], [0.0, -0.0], [1.0, -1.0], [BIG, -BIG], [TINY, -TINY]],
+    "non-finite": [[INF, 1.0], [-INF], [NAN, 1.0], [INF, NAN], [INF, -INF], [BIG, BIG, -BIG],
+                   [BIG, BIG], [BIG, 2.0 ** 970]],
+}
+
+
+def _fsum_outcome(row):
+    """What math.fsum gives a row: ("value", bits) or ("raises", type, message)."""
+    try:
+        return ("value", math.fsum(row).hex())
+    except (ValueError, OverflowError) as e:
+        return ("raises", type(e), str(e))
+
+
+def _integrate_outcome(rows, grid):
+    try:
+        return ("value", [v.hex() for v in integrate(np.array(rows), grid).tolist()])
+    except (ValueError, OverflowError) as e:
+        return ("raises", type(e), str(e))
+
+
+def _unit_grid(npoints):
+    # unit cells: the weighted values are the values themselves
+    return build_grid(1, npoints, float(npoints))
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_ROWS))
+def test_stacked_integrate_equals_fsum_on_adversarial_rows(case):
+    g = _unit_grid(8)
+    rows = [row + [-0.0] * (g.npoints - len(row)) for row in EDGE_ROWS[case]]
+    if case == "zeros":
+        rows.append([0.0] * g.npoints)
+    for row in rows:  # one row at a time, so that each raising row is seen
+        want = _fsum_outcome(row)
+        if want[0] == "value":
+            want = ("value", [want[1]])
+        assert _integrate_outcome([row], g) == want, row
+    # the whole set stacked, behind benign rows: the first raising row raises,
+    # as a per-row fsum loop would
+    benign = np.random.default_rng(3).standard_normal((5, g.npoints)).tolist()
+    outcomes = [_fsum_outcome(row) for row in benign + rows]
+    raised = [o for o in outcomes if o[0] == "raises"]
+    want = raised[0] if raised else ("value", [o[1] for o in outcomes])
+    assert _integrate_outcome(benign + rows, g) == want
+
+
+def test_certified_row_sums_on_one_column_and_no_rows():
+    rows = [row[:1] for rows in EDGE_ROWS.values() for row in rows]
+    got = _certified_row_sums(np.array(rows))
+    assert [v.hex() for v in got.tolist()] == [math.fsum(r).hex() for r in rows]
+    g = _unit_grid(8)
+    assert _certified_row_sums(np.empty((0, 8))).shape == (0,)
+    assert integrate(np.empty((0, g.npoints)), g).shape == (0,)
+    assert integrate(np.empty((2, 0, g.npoints)), g).shape == (2, 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_row_sums_match_fsum_on_random_rows(seed):
+    # widths 1 to 300, every scale from subnormal to 1e300, mirrored rows
+    # that cancel to a tiny remainder, and dyadic rows whose sums sit on ties
+    rng = np.random.default_rng(seed)
+    for trial in range(200):
+        shape = (int(rng.integers(1, 12)), int(rng.integers(1, 300)))
+        kind = trial % 4
+        x = rng.standard_normal(shape)
+        if kind == 1:
+            x *= 10.0 ** rng.integers(-320, 300, shape)
+        elif kind == 2:
+            x = np.concatenate([x, -x[:, ::-1], 1e-20 * x[:, :1]], axis=1)
+        elif kind == 3:
+            x = np.round(x * 64.0) / 64.0 + 2.0 ** -60 * rng.integers(-1, 2, shape)
+        got = _certified_row_sums(x)
+        assert [v.hex() for v in got.tolist()] == [math.fsum(r).hex() for r in x.tolist()]
+
+
+def test_stacked_integrate_certifies_most_rows(monkeypatch):
+    # the vectorized path is the rule and math.fsum the exception
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(pxlab.grid.math, "fsum", lambda r: calls.append(1) or fsum(r))
+    g = build_grid(2, 16, 1.0)
+    rows = np.random.default_rng(0).standard_normal((2000, g.npoints))
+    integrate(rows, g)
+    assert len(calls) < 40
 
 
 def test_sample_jet_constant_and_exp():

@@ -123,6 +123,27 @@ def test_source_hypotheses_builtins(grid):
     assert repf.checks["H13'"].status == "fail"
 
 
+class SteeperFidelity(FidelitySource):
+    """Fidelity source with slope 1.001 mu, above the gamma = mu it claims."""
+
+    def _f(self, s, idx):
+        return 1.001 * super()._f(s, idx)
+
+
+@pytest.mark.parametrize("mu", [1.0, 1e4, 1e6])
+def test_lipschitz_margin_scales_with_the_source(grid, mu):
+    # the pairs' differences round at about mu times 1e-16 (worst 1.8e-12 at
+    # mu = 1e4 and 1.5e-10 at 1e6 here), above an absolute 1e-12; with the
+    # margin scaled by the terms an exactly mu-Lipschitz source passes and a
+    # 0.1% steeper one still fails
+    g = np.linspace(0.0, 1.0, grid.npoints)
+    exact = check_source_hypotheses(fidelity_src(grid.npoints, g=g, mu=mu), seed=3)
+    assert exact.passed("H12-lipschitz")
+    steep = check_source_hypotheses(SteeperFidelity(g, mu, 1.5), seed=3).checks["H12-lipschitz"]
+    assert steep.status == "fail"
+    assert steep.worst > 1e-4 * mu and steep.witness is not None
+
+
 def test_reports_are_deterministic(grid):
     fam = image_op(grid)
     a = check_operator_hypotheses(fam, grid, seed=5).to_jsonable()

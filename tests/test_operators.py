@@ -144,10 +144,16 @@ def test_image_phi_prime_jumps_at_eps(grid):
     assert np.allclose(below - above, 0.5 * math.log(1.5), rtol=1e-12)
 
 
-def test_image_primitive_integrates_each_distinct_pair_once(grid):
-    # A_batch integrates each distinct (t, p) pair once and scatters the
-    # results; every integral depends only on its own limit and exponent,
-    # so the result equals integrating every point on its own, bit for bit
+def test_image_primitive_integrates_each_distinct_pair_once(grid, monkeypatch):
+    # A_batch integrates the first pair of each run of equal (t, p) in t
+    # order and scatters the results; every integral depends only on its own
+    # limit and exponent, so the result equals integrating every point on
+    # its own, bit for bit.  A constant exponent, here with repeated and
+    # zero limits, integrates each distinct t exactly once.
+    seen = []
+    inner = ImageFamily._A_pairs
+    monkeypatch.setattr(ImageFamily, "_A_pairs",
+                        lambda self, t, p: seen.append(t.copy()) or inner(self, t, p))
     rng = np.random.default_rng(5)
     for case in range(30):
         if case % 2:
@@ -157,8 +163,12 @@ def test_image_primitive_integrates_each_distinct_pair_once(grid):
         fam = make_image_operator(p, float(rng.uniform(0.1, 1.0)),
                                   float(rng.uniform(0.5, 2.0)), 1.5)
         t = rng.choice(np.append(rng.uniform(0.0, 5.0, 4), 0.0), grid.npoints)
+        seen.clear()
+        got = fam.A_batch(t)
+        if case % 2 == 0:
+            assert np.array_equal(np.sort(np.concatenate(seen)), np.unique(t))
         single = [_A_at(fam, i, float(t[i])) for i in range(grid.npoints)]
-        assert np.array_equal(fam.A_batch(t), single)
+        assert np.array_equal(got, single)
 
 
 def _quad_reference(p, eps, delta, alpha, t):
@@ -325,6 +335,22 @@ def test_image_primitive_memory_on_many_limits_below_the_cap():
     finally:
         tracemalloc.stop()
     assert peak < 10e6, peak
+
+
+def test_image_primitive_memory_on_many_distinct_limits():
+    # 262 144 distinct limits, one per point, most of them above eps: the
+    # sort, the pairs and the panels hold a few point-length arrays at a time
+    # (about 34 MB when every temporary of the dedup and panels stayed alive)
+    grid = grid_1d(2 ** 18)
+    fam = image_op(grid, p=2.0, eps=0.5, delta=1.0, alpha=1.5)
+    t = np.linspace(0.0, 5.0, grid.npoints)
+    tracemalloc.start()
+    try:
+        fam.A_batch(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak
 
 
 def test_make_multiphase_validation(grid):
