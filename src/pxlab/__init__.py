@@ -2,9 +2,9 @@
 with variable p(x) growth, cross-term inequality diagnostics, and hidden
 convexity along segment paths."""
 
-from .grid import (AnalyticFieldSpec, Grid, GridFunction, JetField,
-                   alpha_root_jet, build_grid, discrete_gradient, integrate,
-                   jet_linear, sample_jet)
+from .grid import (AnalyticFieldSpec, Grid, JetField, alpha_root_jet,
+                   build_grid, discrete_gradient, integrate, jet_linear,
+                   sample_jet)
 from .operators import (ExponentField, OperatorFamily, check_homogeneity,
                         exponent_field, image_coercivity_constants,
                         image_growth_constant, make_image_operator,

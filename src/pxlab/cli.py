@@ -15,14 +15,13 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import hypotheses as hyp
 from . import inequality as ineq
-from .grid import AnalyticFieldSpec, Grid, build_grid, sample_jet
+from .grid import AnalyticFieldSpec, Grid, JetField, build_grid, sample_jet
 from .operators import (ExponentField, OperatorFamily, check_homogeneity, exponent_field,
                         make_image_operator, make_multiphase)
 from .path import beta_scan, make_path
@@ -36,26 +35,9 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class Image:
-    """Grayscale image with pixel values in [0, 1] (8-bit gray / 255)."""
-
-    width: int
-    height: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.width < 3 or self.height < 3:
-            raise ValueError("image dimensions must be at least 3x3")
-        if self.values.shape != (self.height, self.width):
-            raise ValueError("pixel array shape must be (height, width)")
-        if self.values.min() < 0.0 or self.values.max() > 1.0:
-            raise ValueError("pixel values must lie in [0, 1]")
-
-
-def read_pgm(path) -> Image:
-    """Read a binary PGM (magic P5, maxval 255)."""
+def read_pgm(path) -> np.ndarray:
+    """Read a binary PGM (magic P5, maxval 255) as a (height, width) array
+    of gray levels / 255 in [0, 1]."""
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise ValueError("unsupported PGM variant: need binary P5")
@@ -81,14 +63,18 @@ def read_pgm(path) -> Image:
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
         raise ValueError("PGM raster truncated")
-    vals = np.frombuffer(raster, dtype=np.uint8).astype(float).reshape(height, width)
-    return Image(width=width, height=height, values=vals / 255.0)
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width) / 255.0
 
 
-def write_pgm(img: Image, path) -> None:
-    """Write a binary PGM with the canonical header; inverse of read_pgm."""
-    raster = np.rint(img.values * 255.0).astype(np.uint8)
-    header = f"P5\n{img.width} {img.height}\n255\n".encode()
+def write_pgm(values: np.ndarray, path) -> None:
+    """Write a (height, width) array as a binary PGM with the canonical
+    header; inverse of read_pgm.  A value outside [0, 1] (or NaN) would
+    wrap around in the 8-bit raster and raises ValueError."""
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise ValueError("pixel values must lie in [0, 1]")
+    raster = np.rint(values * 255.0).astype(np.uint8)
+    height, width = values.shape
+    header = f"P5\n{width} {height}\n255\n".encode()
     Path(path).write_bytes(header + raster.tobytes())
 
 
@@ -220,10 +206,18 @@ def _build_problem(cfg: dict) -> tuple:
     return grid, _build_operator(cfg, grid), _build_source(cfg, grid)
 
 
-def _field_spec(d: dict) -> AnalyticFieldSpec:
+def _field_jet(d, grid: Grid) -> JetField:
+    """The jet on the grid of the catalog field that the field spec ``d``
+    (an object with a name and an optional params object) names."""
     if not isinstance(d, dict) or "name" not in d:
         raise ConfigError(f"bad field spec: {d!r}")
-    return AnalyticFieldSpec(d["name"], d.get("params", {}))
+    params = d.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"field params must be an object, got {params!r}")
+    try:
+        return sample_jet(AnalyticFieldSpec(d["name"], params), grid)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad field spec {d!r}: {e!r}") from e
 
 
 def _solver_config(cfg: dict, fam, src, grid, init) -> SolveConfig:
@@ -280,11 +274,11 @@ def cmd_check_hypotheses(cfg: dict, outdir: Path, seed: int) -> int:
     homog = check_homogeneity(fam, seed=seed)
     results = {
         "hypotheses": rep.to_jsonable(),
-        "homogeneity": vars(homog) | {"agree": homog.agree},
+        "homogeneity": homog,
         "flags": {"strict_ratio": fam.strict_flag, "homogeneous": fam.homogeneous_flag,
                   "strict_source_ratio": src.strict13_flag},
     }
-    ok = ok and homog.agree
+    ok = ok and homog["agree"]
     _write_report(outdir, "check-hypotheses", cfg, results, ok)
     return 0 if ok else 1
 
@@ -308,12 +302,12 @@ def cmd_inequality(cfg: dict, outdir: Path, seed: int) -> int:
 def cmd_path_scan(cfg: dict, outdir: Path, seed: int) -> int:
     grid, fam, src = _build_problem(cfg)
     fields = _section(cfg, "fields")
+    w1 = _field_jet(fields.get("w1"), grid)
+    w2 = _field_jet(fields.get("w2"), grid)
     try:
-        w1 = sample_jet(_field_spec(fields.get("w1")), grid)
-        w2 = sample_jet(_field_spec(fields.get("w2")), grid)
         ctx = make_path(w1, w2, cfg["alpha"])
         scan = beta_scan(ctx, fam, src, grid)
-    except (KeyError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(str(e)) from e
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "path_scan.csv", ["theta", "beta", "beta_prime", "cor64_gap"],
@@ -343,10 +337,7 @@ def _solve_pipeline(cfg: dict, seed: int):
     if isinstance(init, (int, float)):
         init = float(init)
     elif isinstance(init, dict):
-        try:
-            init = sample_jet(_field_spec(init), grid).values
-        except ValueError as e:
-            raise ConfigError(f"bad init field spec: {e}") from e
+        init = _field_jet(init, grid).values
     else:
         raise ConfigError("init must be a number or a field spec")
     scfg = _solver_config(cfg, fam, src, grid, init)
@@ -375,7 +366,7 @@ def cmd_solve(cfg: dict, outdir: Path, seed: int) -> int:
     ver = verify_weak_solution(fam, src, result.U, grid, seed=seed,
                                residual_tol=scfg.residual_tol)
     outdir.mkdir(parents=True, exist_ok=True)
-    U = result.U.values
+    U = result.U
     x = grid.quad_points
     if grid.dim == 1:
         _write_csv(outdir / "solution.csv", ["i", "x", "value"], "%d,%.17g,%.17g\n",
@@ -387,8 +378,7 @@ def cmd_solve(cfg: dict, outdir: Path, seed: int) -> int:
                    "%d,%d,%.17g,%.17g,%.17g\n", (i, j, x[:, 0], x[:, 1], U.ravel()))
         if result.in_unit_box:
             # in_unit_box admits rounding just outside [0, 1]; pixels may not
-            img = Image(width=grid.n[1], height=grid.n[0], values=np.clip(U, 0.0, 1.0))
-            write_pgm(img, outdir / "solution.pgm")
+            write_pgm(np.clip(U, 0.0, 1.0), outdir / "solution.pgm")
     results = _solve_results(gate, gate_ok, result) | {
         "energy": result.energy,
         "strongly_positive": result.strongly_positive,
@@ -422,37 +412,34 @@ def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
     inp = d.get("input", "synthetic")
     try:
         if inp == "synthetic":
-            n = int(d.get("n", 32))
-            img = Image(width=n, height=n,
-                        values=synthetic_image(n, seed=int(d.get("g_seed", 7))))
+            img = synthetic_image(int(d.get("n", 32)), seed=int(d.get("g_seed", 7)))
         else:
             img = read_pgm(inp)
-        grid = build_grid(2, (img.height, img.width), (1.0, img.width / img.height))
+        grid = build_grid(2, img.shape, (1.0, img.shape[1] / img.shape[0]))
         p = _exponent(grid, d.get("p", 2.0))
         fam = make_image_operator(p, float(d.get("eps", 0.5)), float(d.get("delta", 1.0)),
                                   cfg["alpha"])
-        src = make_fidelity_source(img.values.ravel(), float(d.get("mu", 1.0)), cfg["alpha"])
+        src = make_fidelity_source(img.ravel(), float(d.get("mu", 1.0)), cfg["alpha"])
     except (OSError, ValueError) as e:
         raise ConfigError(str(e)) from e
     gate, gate_ok = hyp.gate(fam, src, grid, seed)
     init = d.get("init", 0.5)
     if init == "input":
-        init = np.clip(img.values, 1e-3, 1.0).ravel()
+        init = np.clip(img, 1e-3, 1.0)
     elif isinstance(init, (int, float)):
         init = float(init)
     else:
         raise ConfigError("denoise init must be a number or \"input\"")
     scfg = _solver_config(cfg, fam, src, grid, init)
     result = minimize(scfg)
-    U = result.U.values
+    U = result.U
     outdir.mkdir(parents=True, exist_ok=True)
     out_ok = result.converged and result.in_unit_box
     if out_ok:
         # in_unit_box admits rounding just outside [0, 1]; pixels may not
-        write_pgm(Image(width=img.width, height=img.height, values=np.clip(U, 0.0, 1.0)),
-                  outdir / "denoised.pgm")
+        write_pgm(np.clip(U, 0.0, 1.0), outdir / "denoised.pgm")
     results = _solve_results(gate, gate_ok, result) | {
-        "tv_input": _total_variation(img.values, grid),
+        "tv_input": _total_variation(img, grid),
         "tv_output": _total_variation(U, grid),
         "output": "denoised.pgm" if out_ok else None,
     }

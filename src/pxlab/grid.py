@@ -5,11 +5,12 @@ cells per axis.  Quadrature points sit at cell centers with cell volumes
 as weights, so pointwise inequalities at the quadrature points integrate
 to inequalities between the quadrature sums (all weights positive).
 
-Nodal functions (class:`GridFunction`) live on the same cell-center
-lattice; their stencil gradient uses centered differences with reflected
-ghost cells, which bakes in the homogeneous Neumann condition.  The same
-reflection makes the DCT-II diagonalize the stencil's D^T D
-(:func:`stencil_symbol`, :func:`dct`).
+A nodal function is a float array of the grid's npoints values on the
+same cell-center lattice, in C order over the axis indices, flat or of the
+grid's node shape ``n``.  Its stencil gradient uses centered differences
+with reflected ghost cells, which bakes in the homogeneous Neumann
+condition; the same reflection makes the DCT-II diagonalize the stencil's
+D^T D (:func:`stencil_symbol`, :func:`dct`).
 """
 
 from __future__ import annotations
@@ -100,18 +101,6 @@ class JetField:
 
     def grad_norms(self) -> np.ndarray:
         return np.sqrt(np.sum(self.grads * self.grads, axis=-1))
-
-
-@dataclass
-class GridFunction:
-    """Nodal scalar values on the cell-center lattice of a grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid function contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -238,7 +227,8 @@ def row_blocks(nrows: int, width):
 
 
 def discrete_gradient(u, grid: Grid) -> JetField:
-    """Stencil gradient of a nodal function at the cell centers.
+    """Stencil gradient of a nodal function (flat or node-shaped) at the
+    cell centers.
 
     Centered differences across neighboring cells; at boundary cells the
     missing neighbor is the reflected ghost (equal to the boundary cell
@@ -246,9 +236,7 @@ def discrete_gradient(u, grid: Grid) -> JetField:
     interior cells; the boundary value is biased toward 0, so the L1 error
     against a smooth field decays like O(h) under refinement.
     """
-    vals = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-    if vals.shape != grid.n:
-        vals = vals.reshape(grid.n)
+    vals = np.asarray(u, dtype=float).reshape(grid.n)
     grads = np.empty((grid.npoints, grid.dim))
     for axis in range(grid.dim):
         grads[:, axis] = _centered_diff(vals, grid.h[axis], axis).ravel()

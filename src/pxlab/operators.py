@@ -48,11 +48,9 @@ class ExponentField:
 
 def exponent_field(grid: Grid, spec) -> ExponentField:
     """Build an exponent field on the grid's quadrature points from a
-    constant, an array, or a callable on the points."""
+    constant or an array of one value per point."""
     npts = grid.npoints
-    if callable(spec):
-        vals = np.asarray(spec(grid.quad_points), dtype=float)
-    elif np.isscalar(spec):
+    if np.isscalar(spec):
         vals = np.full(npts, float(spec))
     else:
         vals = np.asarray(spec, dtype=float)
@@ -414,35 +412,26 @@ def _log_panels(lo: float, hi: float, t, q, delta: float) -> np.ndarray:
 # homogeneity equivalence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomogeneityReport:
-    is_A_homog: bool
-    is_Phi_homog: bool
-    max_violation_A: float
-    max_violation_Phi: float
-    samples: int
-    seed: int
-
-    @property
-    def agree(self) -> bool:
-        return self.is_A_homog == self.is_Phi_homog
+HOMOGENEITY_SAMPLES = 200
+HOMOGENEITY_TOL = 1e-8  # largest relative violation a homogeneous scaling shows
 
 
-def check_homogeneity(fam: OperatorFamily, samples: int = 200,
-                      seed: int = 0, tol: float = 1e-8) -> HomogeneityReport:
+def check_homogeneity(fam: OperatorFamily, seed: int = 0) -> dict:
     """Test A(x, t xi) = |t|^p(x) A(x, xi) and Phi(x, t s) = |t|^(p(x)-1) Phi(x, s).
 
-    Both sides are sampled at random (point, t, s, |xi|) draws; the two flags
-    must agree for every family (the scalings are equivalent).
+    Both sides are sampled at HOMOGENEITY_SAMPLES random (point, t, s, |xi|)
+    draws.  The dict returned holds the flags ``is_A_homog`` and
+    ``is_Phi_homog`` (largest relative violation at most HOMOGENEITY_TOL),
+    ``max_violation_A``, ``max_violation_Phi``, ``samples``, ``seed`` and
+    ``agree``: the flags must agree for every family (the scalings are
+    equivalent).
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, fam.npoints, size=samples)
-    t = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=samples))
-    t *= rng.choice([-1.0, 1.0], size=samples)
-    s = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=samples))
-    xin = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=samples))
+    idx = rng.integers(0, fam.npoints, size=HOMOGENEITY_SAMPLES)
+    t = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=HOMOGENEITY_SAMPLES))
+    t *= rng.choice([-1.0, 1.0], size=HOMOGENEITY_SAMPLES)
+    s = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=HOMOGENEITY_SAMPLES))
+    xin = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=HOMOGENEITY_SAMPLES))
     p = fam.exponent.values[idx]
 
     lhs = fam.phi(np.abs(t) * s, points=idx)
@@ -453,14 +442,10 @@ def check_homogeneity(fam: OperatorFamily, samples: int = 200,
     rhs_A = np.abs(t) ** p * fam.A_batch(xin, points=idx)
     viol_A = float(np.max(np.abs(lhs_A - rhs_A) / (np.maximum(np.abs(lhs_A), np.abs(rhs_A)) + 1e-9)))
 
-    return HomogeneityReport(
-        is_A_homog=viol_A <= tol,
-        is_Phi_homog=viol_phi <= tol,
-        max_violation_A=viol_A,
-        max_violation_Phi=viol_phi,
-        samples=samples,
-        seed=seed,
-    )
+    is_A_homog, is_Phi_homog = viol_A <= HOMOGENEITY_TOL, viol_phi <= HOMOGENEITY_TOL
+    return {"is_A_homog": is_A_homog, "is_Phi_homog": is_Phi_homog,
+            "max_violation_A": viol_A, "max_violation_Phi": viol_phi,
+            "samples": HOMOGENEITY_SAMPLES, "seed": seed, "agree": is_A_homog == is_Phi_homog}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .sources import SourceFamily
 
 RATIO_CAP = 1e6
 BOUND_SLACK = 1e-12
-FD_STEP = 1e-4
+FD_STEP = 1e-4  # two steps stay inside default_thetas' 1e-3 margin
 
 
 @dataclass(frozen=True)
@@ -123,21 +123,25 @@ def energy_J(fam: OperatorFamily, src: SourceFamily, w: JetField, grid: Grid):
     return grad_term - source_term
 
 
-def default_thetas(ctx: PathContext, count: int = 41, margin: float = 1e-3) -> np.ndarray:
-    lo = max(ctx.theta_lo + margin, -0.45)
-    hi = min(ctx.theta_hi - margin, 1.45)
-    return np.linspace(lo, hi, count)
+def default_thetas(ctx: PathContext) -> np.ndarray:
+    """The 41 scan thetas: evenly spaced over [-0.45, 1.45] cut to 1e-3
+    inside the admissible interval."""
+    lo = max(ctx.theta_lo + 1e-3, -0.45)
+    hi = min(ctx.theta_hi - 1e-3, 1.45)
+    return np.linspace(lo, hi, 41)
 
 
 def beta_scan(ctx: PathContext, fam: OperatorFamily, src: SourceFamily,
-              grid: Grid, thetas=None) -> BetaScan:
-    """Scan beta(theta) = J(w_theta) and its derivative along the segment.
+              grid: Grid) -> BetaScan:
+    """Scan beta(theta) = J(w_theta) and its derivative along the segment,
+    at the thetas of :func:`default_thetas`.
 
     The derivative uses the directional form
         beta'(theta) = int a(x, grad u_theta) . grad gamma_theta
                      - int fbar(x, u_theta) gamma_theta
     with u_theta = w_theta^(1/alpha), and is cross-validated against
-    centered differences of beta (one-sided at the scan endpoints).
+    centered differences of beta with step FD_STEP (one-sided at the scan
+    endpoints).
     Secant gaps for the convex-combination inequality are emitted for
     every theta; on [0, 1] they are the convexity certificate.
     """
@@ -145,20 +149,13 @@ def beta_scan(ctx: PathContext, fam: OperatorFamily, src: SourceFamily,
         raise ValueError("operator ratio order must be certified at r = alpha")
     if abs(src.alpha - ctx.alpha) > 1e-12:
         raise ValueError("source alpha must match the path alpha")
-    thetas = default_thetas(ctx) if thetas is None else np.asarray(thetas, dtype=float)
-    if np.any(np.diff(thetas) <= 0.0):
-        raise ValueError("thetas must be strictly increasing")
-    if thetas[0] <= ctx.theta_lo or thetas[-1] >= ctx.theta_hi:
-        raise ValueError("thetas leave the admissible interval")
+    thetas = default_thetas(ctx)
 
     # the thetas at which beta is evaluated: the scan, two finite-difference
     # neighbours per scan theta (one-sided at the scan ends), then 0 and 1
-    n = thetas.size
-    steps, near = [], []
+    n, h = thetas.size, FD_STEP
+    near = []
     for k, t in enumerate(thetas):
-        # keep the stencil strictly inside the admissible interval
-        h = min(FD_STEP, 0.25 * (t - ctx.theta_lo), 0.25 * (ctx.theta_hi - t))
-        steps.append(h)
         near += [t + h, t + 2 * h] if k == 0 else \
             [t - h, t - 2 * h] if k == n - 1 else [t + h, t - h]
     rows = np.concatenate([thetas, near, [0.0, 1.0]])
@@ -182,7 +179,7 @@ def beta_scan(ctx: PathContext, fam: OperatorFamily, src: SourceFamily,
 
     fd_err = 0.0
     for k in range(n):
-        h, (b1, b2) = steps[k], beta_near[k]
+        b1, b2 = beta_near[k]
         if k == 0:
             fd = (-3.0 * beta[0] + 4.0 * b1 - b2) / (2 * h)
         elif k == n - 1:
@@ -206,7 +203,7 @@ def beta_scan(ctx: PathContext, fam: OperatorFamily, src: SourceFamily,
         beta_at_0=beta0,
         beta_at_1=beta1,
         cor64_gap=cor_gap,
-        min_beta_prime_step=float(np.diff(bprime).min()) if thetas.size > 1 else 0.0,
+        min_beta_prime_step=float(np.diff(bprime).min()),
         fd_max_rel_err=float(fd_err),
         strict_gap_ok=strict_ok,
     )

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (AnalyticFieldSpec, Grid, GridFunction,
-                   _centered_diff_adjoint, dct, discrete_gradient, idct,
-                   integrate, sample_jet, stencil_symbol)
+from .grid import (AnalyticFieldSpec, Grid, _centered_diff_adjoint, dct,
+                   discrete_gradient, idct, integrate, sample_jet,
+                   stencil_symbol)
 from .operators import OperatorFamily
 from .sources import SourceFamily
 
@@ -63,7 +63,7 @@ class SolveConfig:
     fam: OperatorFamily
     src: SourceFamily
     grid: Grid
-    init: object  # GridFunction, ndarray, or constant
+    init: object  # nodal array (flat or node-shaped), or constant
     residual_tol: float = 1e-8
     max_iters: int = 50_000  # cap on Newton steps
 
@@ -78,18 +78,19 @@ class SolveConfig:
 class SolveResult:
     """Outcome of :func:`minimize`.
 
-    ``iterations`` counts Newton steps and ``hvps`` the Hessian-vector
-    products their conjugate-gradient solves spent; ``energy`` is
-    :func:`discrete_energy` of ``U``; ``energy_history`` holds the start
-    energy, then adds the energy change of each step the line search
-    accepted (nonincreasing).  ``converged`` means ``residual_norm`` meets
-    the tolerance, and nothing else.  An unconverged solve says why it
-    stopped in ``note`` and carries ``residual_floor``, the residual sup
-    norm that a 1-ulp rounding of ``U`` alone produces (None when
-    converged); when the tolerance lies below that floor the note says so.
+    ``U`` has the grid's node shape.  ``iterations`` counts Newton steps
+    and ``hvps`` the Hessian-vector products their conjugate-gradient
+    solves spent; ``energy`` is :func:`discrete_energy` of ``U``;
+    ``energy_history`` holds the start energy, then adds the energy change
+    of each step the line search accepted (nonincreasing).  ``converged``
+    means ``residual_norm`` meets the tolerance, and nothing else.  An
+    unconverged solve says why it stopped in ``note`` and carries
+    ``residual_floor``, the residual sup norm that a 1-ulp rounding of
+    ``U`` alone produces (None when converged); when the tolerance lies
+    below that floor the note says so.
     """
 
-    U: GridFunction
+    U: np.ndarray
     energy: float
     residual_norm: float
     iterations: int
@@ -114,18 +115,21 @@ def discrete_energy(fam: OperatorFamily, src: SourceFamily, U, grid: Grid) -> fl
     return grad_term - source_term
 
 
-def discrete_residual(fam: OperatorFamily, src: SourceFamily, U, grid: Grid) -> GridFunction:
-    """Exact gradient of the discrete energy with respect to the nodal values.
+def discrete_residual(fam: OperatorFamily, src: SourceFamily, U, grid: Grid) -> np.ndarray:
+    """Exact gradient of the discrete energy with respect to the nodal values,
+    as a flat vector over the nodes in C order.
 
     Component k is the directional derivative along the nodal indicator of
     node k; the flux part is assembled through the adjoint of the centered
     stencil, so the reflected-ghost Neumann treatment needs no boundary
-    flux term.
+    flux term.  Raises ValueError when a component is not finite.
     """
     jets = discrete_gradient(U, grid)
-    res = _stencil_adjoint(fam.a_batch(jets.grads) * grid.quad_weights[:, None], grid)
-    res -= (grid.quad_weights * src.fbar_vals(jets.values)).reshape(grid.n)
-    return GridFunction(res)
+    res = _stencil_adjoint(fam.a_batch(jets.grads) * grid.quad_weights[:, None], grid).ravel()
+    res -= grid.quad_weights * src.fbar_vals(jets.values)
+    if not np.all(np.isfinite(res)):
+        raise ValueError("discrete residual contains non-finite values")
+    return res
 
 
 def discrete_hessian(fam: OperatorFamily, src: SourceFamily, U, grid: Grid):
@@ -187,8 +191,7 @@ def _stencil_adjoint(flux, grid: Grid) -> np.ndarray:
 def residual_norm(res, grid: Grid) -> float:
     """Sup norm of the residual against the quadrature measure (|res_k| / w_k),
     which keeps the tolerance meaningful across grid refinements."""
-    vals = res.values if isinstance(res, GridFunction) else np.asarray(res)
-    return float(np.max(np.abs(vals.ravel()) / grid.quad_weights))
+    return float(np.max(np.abs(np.ravel(res)) / grid.quad_weights))
 
 
 def _truncated_cg(hvp, precond, g, eta):
@@ -247,9 +250,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
     below it.  Deterministic: identical configs produce identical iterates.
     """
     grid = cfg.grid
-    if isinstance(cfg.init, GridFunction):
-        U = cfg.init.values.ravel().copy()
-    elif np.isscalar(cfg.init):
+    if np.isscalar(cfg.init):
         U = np.full(grid.npoints, float(cfg.init))
     else:
         U = np.asarray(cfg.init, dtype=float).ravel().copy()
@@ -259,10 +260,10 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         raise ValueError("initial state contains non-finite values")
 
     fam, src = cfg.fam, cfg.src
-    A_at = lambda u: fam.A_batch(discrete_gradient(u.reshape(grid.n), grid).grad_norms())
+    A_at = lambda u: fam.A_batch(discrete_gradient(u, grid).grad_norms())
     # discrete_energy(u), given A at u's stencil gradients
     energy = lambda A_u, u: integrate(A_u, grid) - integrate(src.Fbar_vals(u), grid)
-    resid = lambda u: discrete_residual(fam, src, u.reshape(grid.n), grid).values.ravel()
+    resid = lambda u: discrete_residual(fam, src, u, grid)
 
     A_U = A_at(U)  # A at the stencil gradients of the current state
     E = energy(A_U, U)
@@ -285,7 +286,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         eta = ETA_MAX if gnorm_prev is None else min(ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
         # no need to solve the linear model beyond half the tolerance
         eta = max(eta, 0.5 * cfg.residual_tol * float(grid.quad_weights.min()) / gnorm)
-        hvp, precond = discrete_hessian(fam, src, U.reshape(grid.n), grid)
+        hvp, precond = discrete_hessian(fam, src, U, grid)
         d, spent = _truncated_cg(hvp, precond, g, eta)
         hvps += spent
         if not np.all(np.isfinite(d)):
@@ -327,7 +328,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
                      f" {floor:.2g}")
     lo, hi = float(U.min()), float(U.max())
     return SolveResult(
-        U=GridFunction(U.reshape(grid.n)),
+        U=U.reshape(grid.n),
         energy=energy(A_U, U),
         residual_norm=rnorm,
         iterations=iterations,
@@ -426,11 +427,10 @@ def uniqueness_experiment(cfg: SolveConfig, inits) -> dict:
     if abs(cfg.fam.r_order - cfg.src.alpha) > 1e-12:
         raise ValueError("operator ratio order must be certified at r = alpha")
     inits = list(inits)
-    if not inits:
-        raise ValueError("the experiment needs at least one initial state")
+    if len(inits) < 2:
+        raise ValueError("the experiment compares at least two initial states")
     for v in inits:
-        arr = np.asarray(v.values if isinstance(v, GridFunction) else v, dtype=float)
-        if arr.min() <= 0.0 or arr.max() > 1.0:
+        if np.min(v) <= 0.0 or np.max(v) > 1.0:
             raise ValueError("initial states must lie strictly inside (0, 1]")
     results = [minimize(dataclasses.replace(cfg, init=v)) for v in inits]
     for r in results:
@@ -442,7 +442,7 @@ def uniqueness_experiment(cfg: SolveConfig, inits) -> dict:
     worst = (0.0, None)
     for i in range(n):
         for j in range(i + 1, n):
-            d = float(np.max(np.abs(results[i].U.values - results[j].U.values)))
+            d = float(np.max(np.abs(results[i].U - results[j].U)))
             pairwise[f"{i}-{j}"] = d
             if d >= worst[0]:
                 worst = (d, (i, j))
@@ -460,24 +460,20 @@ def uniqueness_experiment(cfg: SolveConfig, inits) -> dict:
         "strongly_positive_all": strong_all,
         "strictness_certified": strict,
     }
-    if strict and strong_all and n >= 2:
+    if strict and strong_all:
         report["uniqueness_asserted"] = True
         report["uniqueness_ok"] = max_pairwise <= 10.0 * cfg.residual_tol
-    elif n >= 2:
+    else:
         report["uniqueness_asserted"] = False
         i, j = worst[1]
         report["scaling_diagnostic"] = _scaling_diagnostic(cfg, results[i], results[j])
-    else:
-        report["uniqueness_asserted"] = True
-        report["uniqueness_ok"] = True
     return report
 
 
 def _scaling_diagnostic(cfg: SolveConfig, ri: SolveResult, rj: SolveResult) -> dict:
     """Scaling triple for a pair of distinct limits: U_j ~ lambda U_i with the
     profile and the source scaling like lambda^(alpha-1)."""
-    ui = ri.U.values.ravel()
-    uj = rj.U.values.ravel()
+    ui, uj = ri.U.ravel(), rj.U.ravel()
     mask = ui > STRONG_POSITIVITY_FLOOR
     lam = float(np.mean(uj[mask] / ui[mask])) if np.any(mask) else float("nan")
     alpha = cfg.src.alpha

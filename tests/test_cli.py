@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from pxlab import build_grid, synthetic_image
-from pxlab.cli import (Image, _total_variation, _write_csv, _write_report, main, read_pgm,
-                       write_pgm)
+from pxlab.cli import _total_variation, _write_csv, _write_report, main, read_pgm, write_pgm
 
 
 def _write_cfg(tmp_path, name, cfg):
@@ -22,21 +21,21 @@ def _write_cfg(tmp_path, name, cfg):
 # ---------------------------------------------------------------------------
 
 def test_pgm_gray_values(tmp_path):
-    img = Image(width=3, height=3, values=np.full((3, 3), 128 / 255.0))
     path = tmp_path / "g.pgm"
-    write_pgm(img, path)
+    write_pgm(np.full((3, 3), 128 / 255.0), path)
     back = read_pgm(path)
-    assert back.width == back.height == 3
-    assert np.allclose(back.values, 128 / 255.0)
-    assert back.values[0, 0] == pytest.approx(0.50196, abs=1e-5)
+    assert back.shape == (3, 3)
+    assert np.allclose(back, 128 / 255.0)
+    assert back[0, 0] == pytest.approx(0.50196, abs=1e-5)
 
 
 def test_pgm_roundtrip_byte_identical(tmp_path):
     rng = np.random.default_rng(0)
-    img = Image(width=7, height=5, values=rng.integers(0, 256, (5, 7)) / 255.0)
+    img = rng.integers(0, 256, (5, 7)) / 255.0
     p1 = tmp_path / "a.pgm"
     p2 = tmp_path / "b.pgm"
     write_pgm(img, p1)
+    assert p1.read_bytes().startswith(b"P5\n7 5\n255\n")
     write_pgm(read_pgm(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -45,7 +44,7 @@ def test_pgm_header_comments(tmp_path):
     raster = bytes(range(9))
     (tmp_path / "c.pgm").write_bytes(b"P5\n# a comment\n3 3\n255\n" + raster)
     img = read_pgm(tmp_path / "c.pgm")
-    assert img.values[0, 1] == pytest.approx(1 / 255.0)
+    assert img[0, 1] == pytest.approx(1 / 255.0)
 
 
 def test_pgm_rejects_variants(tmp_path):
@@ -60,11 +59,14 @@ def test_pgm_rejects_variants(tmp_path):
         read_pgm(tmp_path / "short.pgm")
 
 
-def test_image_validation():
-    with pytest.raises(ValueError):
-        Image(width=2, height=3, values=np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        Image(width=3, height=3, values=np.full((3, 3), 1.5))
+def test_image_validation(tmp_path):
+    # a value outside [0, 1] would wrap around in the 8-bit raster
+    for bad in (1.5, -0.01, math.nan):
+        vals = np.full((3, 3), 0.5)
+        vals[1, 2] = bad
+        with pytest.raises(ValueError, match="pixel values"):
+            write_pgm(vals, tmp_path / "bad.pgm")
+    assert not (tmp_path / "bad.pgm").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,8 @@ _SMALL = {"grid": {"dim": 1, "n": 8}, "operator": {"kind": "single", "p": 2.0},
 _FIELDS = {"w1": {"name": "constant", "params": {"c": 1.0}},
            "w2": {"name": "exp-linear", "params": {"k": 0.8}}}
 
-# command and config of each bad configuration; "bad.pgm" has a truncated header
+# command and config of each bad configuration; "bad.pgm" has a truncated
+# header and "small.pgm" is 2 pixels wide
 BAD_CONFIGS = {
     "denoise-p-below-one": ("denoise", {"denoise": {"n": 8, "p": 0.9}}),
     "denoise-ramp-without-to": (
@@ -122,6 +125,7 @@ BAD_CONFIGS = {
     "denoise-image-too-small": ("denoise", {"denoise": {"n": 2}}),
     "denoise-missing-pgm": ("denoise", {"denoise": {"input": "missing.pgm"}}),
     "denoise-malformed-pgm": ("denoise", {"denoise": {"input": "bad.pgm"}}),
+    "denoise-pgm-too-small": ("denoise", {"denoise": {"input": "small.pgm"}}),
     "uniqueness-init-outside-unit": ("uniqueness", _SMALL | {"inits": [0.2, 1.5]}),
     # fewer than two limits leave nothing to compare
     "uniqueness-no-inits": ("uniqueness", _SMALL | {"inits": []}),
@@ -129,6 +133,13 @@ BAD_CONFIGS = {
     "inequality-zero-trials": ("inequality", {"trials": 0}),
     "path-scan-unknown-field": (
         "path-scan", _SMALL | {"fields": _FIELDS | {"w1": {"name": "no-such-field"}}}),
+    "path-scan-params-not-an-object": (
+        "path-scan", _SMALL | {"fields": _FIELDS | {"w1": {"name": "constant", "params": 5}}}),
+    "solve-init-field-missing-param": ("solve", _SMALL | {"init": {"name": "constant"}}),
+    "solve-init-field-param-a-list": (
+        "solve", _SMALL | {"init": {"name": "constant", "params": {"c": [1, 2]}}}),
+    "solve-init-params-not-an-object": (
+        "solve", _SMALL | {"init": {"name": "constant", "params": 5}}),
     "config-not-an-object": ("check-hypotheses", [_SMALL]),
     "seeds-not-an-object": ("check-hypotheses", _SMALL | {"seeds": 5}),
     "output-not-an-object": ("check-hypotheses", _SMALL | {"output": "out"}),
@@ -171,6 +182,7 @@ def test_bad_config_exits_2_with_error_json(tmp_path, monkeypatch, case):
     command, cfg = BAD_CONFIGS[case]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.pgm").write_bytes(b"P5\n3 3\n")
+    (tmp_path / "small.pgm").write_bytes(b"P5\n2 3\n255\n" + bytes(6))
     path = _write_cfg(tmp_path, "cfg.json", cfg)
     # --output would skip reading a bad "output"; its error.json lands in the cwd
     bad_output = case == "output-not-an-object"
@@ -245,8 +257,8 @@ def test_solve_command_artifacts(tmp_path):
     assert rep["results"]["hvps"] >= rep["results"]["iterations"] >= 1
     assert (out / "solution.csv").exists()
     img = read_pgm(out / "solution.pgm")
-    assert img.width == img.height == 8
-    assert abs(img.values[0, 0] - 0.5) < 0.01
+    assert img.shape == (8, 8)
+    assert abs(img[0, 0] - 0.5) < 0.01
 
 
 def test_unconverged_solve_reports_why_it_stopped(tmp_path):
@@ -326,14 +338,14 @@ def test_denoise_command(tmp_path):
     assert "tv_input" in rep["results"] and "tv_output" in rep["results"]
     assert rep["results"]["hvps"] >= rep["results"]["iterations"] >= 1
     img = read_pgm(out / "denoised.pgm")
-    assert img.values.min() >= 0.0 and img.values.max() <= 1.0
+    assert img.min() >= 0.0 and img.max() <= 1.0
 
 
 def test_denoise_non_square_image(tmp_path):
     rng = np.random.default_rng(0)
     vals = np.clip(0.5 + 0.2 * rng.standard_normal((8, 12)), 0.05, 0.95)
     src = tmp_path / "in.pgm"
-    write_pgm(Image(width=12, height=8, values=vals), src)
+    write_pgm(vals, src)
     cfg = _write_cfg(tmp_path, "cfg.json", {
         "denoise": {"input": str(src), "mu": 2.0, "eps": 0.5, "delta": 1.0, "p": 2.0},
         "alpha": 1.5,
@@ -341,13 +353,13 @@ def test_denoise_non_square_image(tmp_path):
     out = tmp_path / "out"
     assert main(["denoise", "--config", cfg, "--output", str(out)]) == 0
     res = read_pgm(out / "denoised.pgm")
-    assert (res.width, res.height) == (12, 8)
+    assert res.shape == (8, 12)
 
 
 def test_denoise_constant_input_is_fixed_point(tmp_path):
     n = 8
     src = tmp_path / "in.pgm"
-    write_pgm(Image(width=n, height=n, values=np.full((n, n), 128 / 255.0)), src)
+    write_pgm(np.full((n, n), 128 / 255.0), src)
     cfg = _write_cfg(tmp_path, "cfg.json", {
         "denoise": {"input": str(src), "mu": 1.0, "eps": 0.5, "delta": 1.0,
                      "p": 2.0, "init": 0.3},
@@ -356,7 +368,7 @@ def test_denoise_constant_input_is_fixed_point(tmp_path):
     out = tmp_path / "out"
     assert main(["denoise", "--config", cfg, "--output", str(out)]) == 0
     res = read_pgm(out / "denoised.pgm")
-    assert np.allclose(res.values, 128 / 255.0, atol=1e-6)
+    assert np.allclose(res, 128 / 255.0, atol=1e-6)
 
 
 def test_denoise_can_start_from_the_input_image(tmp_path):
@@ -378,7 +390,7 @@ def test_denoise_writes_a_state_rounded_just_below_zero(tmp_path):
     vals = np.zeros((16, 16))
     vals[8:] = 1.0
     src = tmp_path / "halves.pgm"
-    write_pgm(Image(width=16, height=16, values=vals), src)
+    write_pgm(vals, src)
     cfg = _write_cfg(tmp_path, "cfg.json", {
         "denoise": {"input": str(src), "mu": 1e6, "init": "input"}, "alpha": 1.5})
     out = tmp_path / "out"
@@ -387,7 +399,7 @@ def test_denoise_writes_a_state_rounded_just_below_zero(tmp_path):
     assert rep["results"]["converged"] and rep["results"]["in_unit_box"]
     assert rep["results"]["output"] == "denoised.pgm"
     assert code == 0
-    assert np.array_equal(read_pgm(out / "denoised.pgm").values, vals)
+    assert np.array_equal(read_pgm(out / "denoised.pgm"), vals)
 
 
 def test_csv_floats_roundtrip_exactly(tmp_path):
@@ -442,7 +454,7 @@ def test_denoise_large_mu_tracks_input(tmp_path):
     x = (np.arange(n) + 0.5) / n
     smooth = 0.5 + 0.1 * np.cos(2 * np.pi * x)[:, None] * np.cos(2 * np.pi * x)[None, :]
     src = tmp_path / "smooth.pgm"
-    write_pgm(Image(width=n, height=n, values=smooth), src)
+    write_pgm(smooth, src)
     cfg = _write_cfg(tmp_path, "cfg.json", {
         "denoise": {"input": str(src), "mu": 1000.0,
                      "eps": 0.5, "delta": 1.0, "p": 2.0},
@@ -451,7 +463,7 @@ def test_denoise_large_mu_tracks_input(tmp_path):
     out = tmp_path / "out"
     assert main(["denoise", "--config", cfg, "--output", str(out)]) == 0
     res = read_pgm(out / "denoised.pgm")
-    diff = np.max(np.abs(res.values - read_pgm(src).values))
+    diff = np.max(np.abs(res - read_pgm(src)))
     assert diff <= 0.01
 
 
@@ -459,7 +471,7 @@ def test_denoise_checkerboard_smoothing_reported(tmp_path):
     n = 12
     board = np.indices((n, n)).sum(axis=0) % 2 * 0.6 + 0.2
     src = tmp_path / "board.pgm"
-    write_pgm(Image(width=n, height=n, values=board), src)
+    write_pgm(board, src)
     cfg = _write_cfg(tmp_path, "cfg.json", {
         "denoise": {"input": str(src), "mu": 5.0, "eps": 0.5, "delta": 1.0,
                      "p": 2.0},

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pxlab.grid
-from pxlab import (AnalyticFieldSpec, GridFunction, JetField, alpha_root_jet,
+from pxlab import (AnalyticFieldSpec, JetField, alpha_root_jet,
                    build_grid, discrete_gradient, integrate, jet_linear,
                    sample_jet)
 from pxlab.grid import _certified_row_sums, dct, idct, stencil_symbol
@@ -236,9 +236,9 @@ def test_jet_gradients_match_value_differences(spec):
 
 def test_discrete_gradient_constant_and_affine():
     g = build_grid(1, 16, 1.0)
-    zero = discrete_gradient(GridFunction(np.ones(16)), g)
+    zero = discrete_gradient(np.ones(16), g)
     assert np.all(zero.grads == 0.0)
-    aff = discrete_gradient(GridFunction(g.quad_points[:, 0].copy()), g)
+    aff = discrete_gradient(g.quad_points[:, 0].copy(), g)
     assert np.allclose(aff.grads[1:-1, 0], 1.0, atol=1e-13)
     # reflected ghosts bias the boundary value toward 0
     assert np.allclose(aff.grads[[0, -1], 0], 0.5, atol=1e-13)
@@ -249,7 +249,7 @@ def test_discrete_gradient_boundary_error_is_first_order():
     errs = []
     for n in (32, 64):
         g = build_grid(1, n, 1.0)
-        jet = discrete_gradient(GridFunction(g.quad_points[:, 0].copy()), g)
+        jet = discrete_gradient(g.quad_points[:, 0].copy(), g)
         errs.append(integrate(np.abs(jet.grads[:, 0] - 1.0), g))
     assert errs[0] == pytest.approx(1.0 / 32.0, rel=1e-12)
     assert errs[1] == pytest.approx(errs[0] / 2.0, rel=1e-12)
@@ -258,7 +258,7 @@ def test_discrete_gradient_boundary_error_is_first_order():
 def test_discrete_gradient_2d_affine_interior_exact():
     g = build_grid(2, 8, 1.0)
     u = 0.3 * g.quad_points[:, 0] - 0.7 * g.quad_points[:, 1]
-    jet = discrete_gradient(GridFunction(u.reshape(g.n)), g)
+    jet = discrete_gradient(u.reshape(g.n), g)
     interior = np.ones(g.n, dtype=bool)
     for ax in range(2):
         sl = [slice(None)] * 2
@@ -272,7 +272,7 @@ def test_discrete_gradient_2d_affine_interior_exact():
 def test_discrete_gradient_non_square_grid():
     g = build_grid(2, (5, 9), (1.0, 3.0))
     u = 0.4 * g.quad_points[:, 0] + 0.2 * g.quad_points[:, 1]
-    jet = discrete_gradient(GridFunction(u.reshape(g.n)), g)
+    jet = discrete_gradient(u.reshape(g.n), g)
     interior = np.ones(g.n, dtype=bool)
     interior[[0, -1], :] = False
     interior[:, [0, -1]] = False
@@ -309,13 +309,6 @@ def test_dct_round_trip_and_reference(shape):
     assert np.max(np.abs(dct(idct(x)) - x)) <= 1e-14
     assert np.max(np.abs(dct(x) - fft.dctn(x, type=2, norm="ortho"))) <= 1e-14
 
-
-def test_grid_function_validation():
-    with pytest.raises(ValueError):
-        GridFunction(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        GridFunction(np.array([0.2, -np.inf]))
-    assert np.array_equal(GridFunction([0.2, 1.1]).values, [0.2, 1.1])
 
 
 def test_jetfield_validation():

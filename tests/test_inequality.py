@@ -176,7 +176,7 @@ def test_integral_gap_variable_exponent_image_profile():
 
     grid = grid_1d(48)
     rng = np.random.default_rng(12)
-    p = exponent_field(grid, lambda x: 1.9 + 0.5 * x[:, 0])
+    p = exponent_field(grid, 1.9 + 0.5 * grid.quad_points[:, 0])
     fam = make_image_operator(p, 0.6, 1.3, 1.6)
     for _ in range(5):
         w1 = random_positive_jet(rng, grid)

@@ -183,7 +183,7 @@ def test_beta_scan_2d_with_variable_exponent():
     rng = np.random.default_rng(8)
     w1 = random_positive_jet(rng, grid)
     w2 = random_positive_jet(rng, grid)
-    p = exponent_field(grid, lambda x: 1.8 + 0.4 * x[:, 0])
+    p = exponent_field(grid, 1.8 + 0.4 * grid.quad_points[:, 0])
     fam = make_image_operator(p, 0.5, 1.0, 1.5)
     src = power_src(grid.npoints, r1=1.0, q1=1.0, alpha=1.5)
     scan = beta_scan(make_path(w1, w2, 1.5), fam, src, grid)
@@ -204,10 +204,6 @@ def test_beta_scan_validation():
     fam = single_phase(grid, 2.0, alpha=1.5)
     with pytest.raises(ValueError):
         beta_scan(ctx, fam, power_src(grid.npoints, alpha=2.0), grid)
-    with pytest.raises(ValueError):
-        beta_scan(ctx, fam, src, grid, thetas=np.array([0.0, 2.0]))
-    with pytest.raises(ValueError):
-        beta_scan(ctx, fam, src, grid, thetas=np.array([0.5, 0.2]))
 
 
 def test_default_thetas_inside_interval():

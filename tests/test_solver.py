@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from pxlab import (GridFunction, SolveConfig, build_grid, discrete_energy,
+from pxlab import (SolveConfig, build_grid, discrete_energy,
                    discrete_hessian, discrete_residual, minimize,
                    residual_norm, synthetic_image, uniqueness_experiment,
                    verify_weak_solution)
@@ -20,9 +20,9 @@ def test_energy_constant_states():
     grid = grid_1d(16)
     fam = single_phase(grid, 2.0)
     src = power_src(grid.npoints, r1=1.0, q1=1.0)
-    assert discrete_energy(fam, src, GridFunction(np.ones(16)), grid) == \
+    assert discrete_energy(fam, src, np.ones(16), grid) == \
         pytest.approx(0.5, rel=1e-13)
-    assert discrete_energy(fam, src, GridFunction(np.zeros(16)), grid) == 0.0
+    assert discrete_energy(fam, src, np.zeros(16), grid) == 0.0
 
 
 def test_energy_affine_quadratic():
@@ -30,7 +30,7 @@ def test_energy_affine_quadratic():
     fam = single_phase(grid, 2.0)
     src = zero_src(grid.npoints)
     slope = 0.8
-    U = GridFunction(slope * grid.quad_points[:, 0])
+    U = slope * grid.quad_points[:, 0]
     h = grid.h[0]
     # interior cells carry the exact quadratic density, boundary cells half slope
     expected = 0.5 * slope**2 * h * (16 - 2) + 2 * 0.5 * (slope / 2) ** 2 * h
@@ -41,11 +41,11 @@ def test_residual_zero_at_constant_states():
     grid = grid_2d(6)
     fam = two_phase(grid)
     fid = fidelity_src(grid.npoints, g=0.5, mu=1.0)
-    res = discrete_residual(fam, fid, GridFunction(np.full(grid.n, 0.5)), grid)
-    assert np.all(res.values == 0.0)
+    res = discrete_residual(fam, fid, np.full(grid.n, 0.5), grid)
+    assert np.all(res == 0.0)
     zero = zero_src(grid.npoints)
-    res2 = discrete_residual(fam, zero, GridFunction(np.full(grid.n, 0.3)), grid)
-    assert np.all(res2.values == 0.0)
+    res2 = discrete_residual(fam, zero, np.full(grid.n, 0.3), grid)
+    assert np.all(res2 == 0.0)
 
 
 def test_stencil_adjointness():
@@ -71,16 +71,25 @@ def test_residual_is_energy_gradient(op_name, src_name):
            "zero": zero_src(grid.npoints)}[src_name]
     rng = np.random.default_rng(1)
     U0 = rng.uniform(0.2, 0.8, grid.npoints)
-    res = discrete_residual(fam, src, GridFunction(U0.reshape(grid.n)), grid)
+    res = discrete_residual(fam, src, U0, grid)
     h = 1e-5
     for _ in range(5):
         d = rng.standard_normal(grid.npoints)
         d /= np.linalg.norm(d)
-        ep = discrete_energy(fam, src, GridFunction((U0 + h * d).reshape(grid.n)), grid)
-        em = discrete_energy(fam, src, GridFunction((U0 - h * d).reshape(grid.n)), grid)
+        ep = discrete_energy(fam, src, U0 + h * d, grid)
+        em = discrete_energy(fam, src, U0 - h * d, grid)
         fd = (ep - em) / (2 * h)
-        an = float(res.values.ravel() @ d)
+        an = float(res @ d)
         assert abs(fd - an) <= 1e-6 * max(1e-12, abs(an))
+
+
+def test_residual_rejects_non_finite_components():
+    grid = grid_2d(6)
+    fam = two_phase(grid)
+    fam._phi = lambda s, idx: np.full(s.shape, np.nan)
+    U0 = np.random.default_rng(2).uniform(0.2, 0.8, grid.npoints)
+    with pytest.raises(ValueError, match="non-finite"):
+        discrete_residual(fam, fidelity_src(grid.npoints), U0, grid)
 
 
 def test_minimize_constant_fidelity():
@@ -89,7 +98,7 @@ def test_minimize_constant_fidelity():
     fid = fidelity_src(grid.npoints, g=0.5, mu=1.0)
     res = minimize(SolveConfig(fam, fid, grid, init=0.2))
     assert res.converged and res.residual_floor is None
-    assert np.allclose(res.U.values, 0.5, atol=1e-6)
+    assert np.allclose(res.U, 0.5, atol=1e-6)
     assert res.in_unit_box
 
 
@@ -107,7 +116,7 @@ def test_minimize_power_decay_to_zero():
     src = power_src(grid.npoints, r1=1.0, q1=1.0)
     res = minimize(SolveConfig(fam, src, grid, init=0.5))
     assert res.converged
-    assert np.all(np.abs(res.U.values) <= 1e-6)
+    assert np.all(np.abs(res.U) <= 1e-6)
     assert not res.strongly_positive
     assert all(np.diff(res.energy_history) <= 0.0)
 
@@ -130,7 +139,7 @@ def test_minimize_quadratic_energy_takes_one_newton_step():
     fid = fidelity_src(grid.npoints, g=0.5, mu=1.0)
     res = minimize(SolveConfig(fam, fid, grid, init=0.2))
     assert res.converged and res.iterations == 1
-    assert np.allclose(res.U.values, 0.5, atol=1e-6)
+    assert np.allclose(res.U, 0.5, atol=1e-6)
     assert len(res.energy_history) == 2
     assert all(np.diff(res.energy_history) <= 0.0)
 
@@ -143,7 +152,18 @@ def test_minimize_deterministic():
     a = minimize(cfg)
     b = minimize(cfg)
     assert a.iterations == b.iterations
-    assert np.array_equal(a.U.values, b.U.values)
+    assert np.array_equal(a.U, b.U)
+
+
+def test_minimize_takes_a_flat_or_node_shaped_init():
+    grid = grid_2d(8)
+    fid = fidelity_src(grid.npoints, g=synthetic_image(8, seed=4).ravel(), mu=1.0)
+    init = 0.2 + 0.5 * synthetic_image(8, seed=9)
+    flat, shaped = (minimize(SolveConfig(two_phase(grid), fid, grid, init=v))
+                    for v in (init.ravel(), init))
+    assert flat.converged and flat.iterations == shaped.iterations
+    assert flat.U.shape == shaped.U.shape == grid.n
+    assert flat.U.tobytes() == shaped.U.tobytes()
 
 
 def test_refinement_keeps_constant_solution():
@@ -154,7 +174,7 @@ def test_refinement_keeps_constant_solution():
         fid = fidelity_src(grid.npoints, g=0.37, mu=1.0)
         res = minimize(SolveConfig(fam, fid, grid, init=0.6, residual_tol=1e-12))
         assert res.converged
-        u = res.U.values
+        u = res.U
         assert u.max() - u.min() <= 1e-12
         vals.append(float(u.mean()))
     assert abs(vals[0] - vals[1]) <= 1e-10
@@ -164,9 +184,9 @@ def test_residual_norm_helper():
     grid = grid_1d(8)
     fam = single_phase(grid, 2.0)
     src = power_src(grid.npoints)
-    res = discrete_residual(fam, src, GridFunction(np.full(8, 0.5)), grid)
+    res = discrete_residual(fam, src, np.full(8, 0.5), grid)
     assert residual_norm(res, grid) == pytest.approx(
-        np.max(np.abs(res.values)) / grid.quad_weights[0])
+        np.max(np.abs(res)) / grid.quad_weights[0])
 
 
 def test_solver_config_validation():
@@ -220,14 +240,14 @@ def test_hessian_is_residual_derivative(op_name, src_name):
     fam, src = ops[op_name], srcs[src_name]
     rng = np.random.default_rng(2)
     U0 = rng.uniform(0.2, 0.8, grid.npoints)
-    hvp, _ = discrete_hessian(fam, src, GridFunction(U0.reshape(grid.n)), grid)
+    hvp, _ = discrete_hessian(fam, src, U0, grid)
     h = 1e-5
     for _ in range(5):
         d = rng.standard_normal(grid.npoints)
         d /= np.linalg.norm(d)
-        rp = discrete_residual(fam, src, GridFunction((U0 + h * d).reshape(grid.n)), grid)
-        rm = discrete_residual(fam, src, GridFunction((U0 - h * d).reshape(grid.n)), grid)
-        fd = (rp.values - rm.values).ravel() / (2 * h)
+        rp = discrete_residual(fam, src, U0 + h * d, grid)
+        rm = discrete_residual(fam, src, U0 - h * d, grid)
+        fd = (rp - rm) / (2 * h)
         an = hvp(d)
         assert np.max(np.abs(fd - an)) <= 1e-6 * np.max(np.abs(an))
 
@@ -239,7 +259,7 @@ def test_hessian_is_symmetric():
     for fam in ops.values():
         for src in srcs.values():
             # values outside [0, 1] reach the extension's +-gamma branches
-            U = GridFunction(rng.uniform(-0.3, 1.3, grid.n))
+            U = rng.uniform(-0.3, 1.3, grid.n)
             hvp, _ = discrete_hessian(fam, src, U, grid)
             for _ in range(3):
                 v = rng.standard_normal(grid.npoints)
@@ -256,7 +276,7 @@ def test_preconditioner_inverts_a_constant_coefficient_hessian(dim, n, extent):
     fam = single_phase(grid, 2.0)
     fid = fidelity_src(grid.npoints, g=0.4, mu=1.3)
     rng = np.random.default_rng(5)
-    U = GridFunction(rng.uniform(0.2, 0.8, grid.n))
+    U = rng.uniform(0.2, 0.8, grid.n)
     hvp, precond = discrete_hessian(fam, fid, U, grid)
     for _ in range(3):
         v = rng.standard_normal(grid.npoints)
@@ -270,7 +290,7 @@ def test_preconditioner_is_symmetric_positive_definite():
     for fam in ops.values():
         for src in srcs.values():
             # values outside [0, 1] make the source diagonal negative
-            U = GridFunction(rng.uniform(-0.3, 1.3, grid.n))
+            U = rng.uniform(-0.3, 1.3, grid.n)
             _, precond = discrete_hessian(fam, src, U, grid)
             for _ in range(3):
                 x = rng.standard_normal(grid.npoints)
@@ -336,7 +356,7 @@ def test_readme_problems_keep_their_iterates(command, n, iterations, hvps, diges
     res = minimize(_readme_problem(command, n))
     assert res.converged
     assert (res.iterations, res.hvps) == (iterations, hvps)
-    assert hashlib.sha256(res.U.values.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(res.U.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n,seed", [(48, 7), (64, 7), (96, 7), (96, 3), (128, 3)])
@@ -375,7 +395,7 @@ def test_hostile_exponents_end_with_a_verdict(p):
     t0 = time.perf_counter()
     res = minimize(SolveConfig(fam, fid, grid, init=0.2))
     assert time.perf_counter() - t0 < 10.0
-    assert np.all(np.isfinite(res.U.values))
+    assert np.all(np.isfinite(res.U))
     assert res.converged or (res.note and res.residual_norm > 1e-8)
     assert all(np.diff(res.energy_history) <= 0.0)
     if p == 1.2:
@@ -390,7 +410,7 @@ def test_exhausted_line_search_ends_the_solve(monkeypatch):
     assert not res.converged and res.iterations == 0
     assert res.note.startswith("line search failed")
     assert 0.0 <= res.residual_floor < res.residual_norm
-    assert np.all(res.U.values == 0.9)
+    assert np.all(res.U == 0.9)
 
 
 def test_descent_into_the_concave_extension_is_stopped():
@@ -404,7 +424,7 @@ def test_descent_into_the_concave_extension_is_stopped():
     for fam in (image_op(grid), two_phase(grid)):
         res = minimize(SolveConfig(fam, src, grid, init=init))
         assert not res.converged and "band" in res.note
-        assert res.U.values.min() >= -1.0 and res.U.values.max() <= 2.0
+        assert res.U.min() >= -1.0 and res.U.max() <= 2.0
         assert all(np.diff(res.energy_history) <= 0.0)
 
 
@@ -415,7 +435,7 @@ def test_weak_form_defect_bounded_by_residual_norm():
     fid = fidelity_src(grid.npoints, g=0.4, mu=1.3)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        U = GridFunction(rng.uniform(0.1, 0.9, grid.n))
+        U = rng.uniform(0.1, 0.9, grid.n)
         rn = residual_norm(discrete_residual(fam, fid, U, grid), grid)
         rep = verify_weak_solution(fam, fid, U, grid, n_tests=12, seed=4)
         assert rep["max_normalized_defect"] <= rn * (1.0 + 1e-10)
@@ -429,9 +449,9 @@ def test_verify_weak_solution():
     rep = verify_weak_solution(fam, fid, res.U, grid, seed=2)
     assert rep["passed"]
     # an exact constant solution has identically vanishing defect
-    exact = verify_weak_solution(fam, fid, GridFunction(np.full(grid.n, 0.5)), grid)
+    exact = verify_weak_solution(fam, fid, np.full(grid.n, 0.5), grid)
     assert exact["max_normalized_defect"] <= 1e-13
-    off = GridFunction(res.U.values + 0.1)
+    off = res.U + 0.1
     rep_off = verify_weak_solution(fam, fid, off, grid, seed=2)
     assert not rep_off["passed"]
 
@@ -444,8 +464,9 @@ def test_uniqueness_experiment_fidelity():
     rep = uniqueness_experiment(cfg, [0.2, 0.9])
     assert rep["uniqueness_asserted"] and rep["uniqueness_ok"]
     assert rep["max_pairwise_sup"] <= 1e-6
-    single = uniqueness_experiment(cfg, [0.4])
-    assert single["uniqueness_ok"]
+    # one limit leaves nothing to compare
+    with pytest.raises(ValueError, match="at least two"):
+        uniqueness_experiment(cfg, [0.4])
 
 
 def test_uniqueness_diagnostic_branch():
@@ -469,11 +490,12 @@ def test_uniqueness_experiment_validation():
     cfg = SolveConfig(fam, fid, grid, init=0.5)
     with pytest.raises(ValueError):
         uniqueness_experiment(cfg, [0.0, 0.5])
-    with pytest.raises(ValueError, match="at least one"):
-        uniqueness_experiment(cfg, [])
+    for inits in ([], [0.5]):
+        with pytest.raises(ValueError, match="at least two"):
+            uniqueness_experiment(cfg, inits)
     with pytest.raises(ValueError):
         uniqueness_experiment(dataclasses.replace(
-            cfg, src=fidelity_src(grid.npoints, g=0.5, mu=1.0, alpha=1.8)), [0.5])
+            cfg, src=fidelity_src(grid.npoints, g=0.5, mu=1.0, alpha=1.8)), [0.5, 0.8])
 
 
 def test_uniqueness_experiment_reports_divergence():
