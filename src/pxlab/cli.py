@@ -420,7 +420,7 @@ def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
         fam = make_image_operator(p, float(d.get("eps", 0.5)), float(d.get("delta", 1.0)),
                                   cfg["alpha"])
         src = make_fidelity_source(img.ravel(), float(d.get("mu", 1.0)), cfg["alpha"])
-    except (OSError, ValueError) as e:
+    except (OSError, TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
     gate, gate_ok = hyp.gate(fam, src, grid, seed)
     init = d.get("init", 0.5)

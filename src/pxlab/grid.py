@@ -7,10 +7,11 @@ to inequalities between the quadrature sums (all weights positive).
 
 A nodal function is a float array of the grid's npoints values on the
 same cell-center lattice, in C order over the axis indices, flat or of the
-grid's node shape ``n``.  Its stencil gradient uses centered differences
-with reflected ghost cells, which bakes in the homogeneous Neumann
-condition; the same reflection makes the DCT-II diagonalize the stencil's
-D^T D (:func:`stencil_symbol`, :func:`dct`).
+grid's node shape ``n``.  Its stencil gradient D (:func:`discrete_gradient`,
+with adjoint :func:`stencil_adjoint`) uses centered differences with
+reflected ghost cells, which bakes in the homogeneous Neumann condition;
+the same reflection makes the DCT-II diagonalize D^T D
+(:func:`stencil_symbol`, :func:`dct`).
 """
 
 from __future__ import annotations
@@ -226,9 +227,9 @@ def row_blocks(nrows: int, width):
         lo = hi
 
 
-def discrete_gradient(u, grid: Grid) -> JetField:
-    """Stencil gradient of a nodal function (flat or node-shaped) at the
-    cell centers.
+def discrete_gradient(u, grid: Grid) -> np.ndarray:
+    """Stencil gradient D u of a nodal function (flat or node-shaped) at the
+    cell centers, as an array of shape (npoints, dim).
 
     Centered differences across neighboring cells; at boundary cells the
     missing neighbor is the reflected ghost (equal to the boundary cell
@@ -238,32 +239,33 @@ def discrete_gradient(u, grid: Grid) -> JetField:
     """
     vals = np.asarray(u, dtype=float).reshape(grid.n)
     grads = np.empty((grid.npoints, grid.dim))
-    for axis in range(grid.dim):
-        grads[:, axis] = _centered_diff(vals, grid.h[axis], axis).ravel()
-    return JetField(values=vals.ravel().copy(), grads=grads)
+    for axis, h in enumerate(grid.h):
+        v = np.moveaxis(vals, axis, 0)
+        g = np.empty_like(v)
+        g[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        g[0] = (v[1] - v[0]) / (2.0 * h)
+        g[-1] = (v[-1] - v[-2]) / (2.0 * h)
+        grads[:, axis] = np.moveaxis(g, 0, axis).ravel()
+    return grads
 
 
-def _centered_diff(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
-    v = np.moveaxis(vals, axis, 0)
-    g = np.empty_like(v)
-    g[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    g[0] = (v[1] - v[0]) / (2.0 * h)
-    g[-1] = (v[-1] - v[-2]) / (2.0 * h)
-    return np.moveaxis(g, 0, axis)
-
-
-def _centered_diff_adjoint(cell: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Adjoint of :func:`_centered_diff` with respect to the plain dot product."""
-    v = np.moveaxis(cell, axis, 0)
-    r = np.zeros_like(v)
-    w = 1.0 / (2.0 * h)
-    r[2:] += v[1:-1] * w
-    r[:-2] -= v[1:-1] * w
-    r[1] += v[0] * w
-    r[0] -= v[0] * w
-    r[-1] += v[-1] * w
-    r[-2] -= v[-1] * w
-    return np.moveaxis(r, 0, axis)
+def stencil_adjoint(flux, grid: Grid) -> np.ndarray:
+    """D^T flux: the adjoint of :func:`discrete_gradient` with respect to the
+    plain dot product, applied to per-point vectors of shape (npoints, dim)
+    and returned as a flat vector over the nodes."""
+    out = np.zeros(grid.n)
+    for axis, h in enumerate(grid.h):
+        v = np.moveaxis(flux[:, axis].reshape(grid.n), axis, 0)
+        r = np.zeros_like(v)
+        w = 1.0 / (2.0 * h)
+        r[2:] += v[1:-1] * w
+        r[:-2] -= v[1:-1] * w
+        r[1] += v[0] * w
+        r[0] -= v[0] * w
+        r[-1] += v[-1] * w
+        r[-2] -= v[-1] * w
+        out += np.moveaxis(r, 0, axis)
+    return out.ravel()
 
 
 def stencil_symbol(grid: Grid) -> np.ndarray:

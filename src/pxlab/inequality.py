@@ -196,8 +196,8 @@ def pointwise_gap_parts(fam: OperatorFamily, r: float,
 
 
 def integral_gap(fam: OperatorFamily, r: float, w1: JetField, w2: JetField,
-                 grid: Grid, mask=None) -> IntegralGap:
-    """Quadrature of the two cross terms over the grid (or a masked subset)."""
+                 grid: Grid) -> IntegralGap:
+    """Quadrature of the two cross terms over the grid."""
     if w1.values.min() <= 0.0 or w2.values.min() <= 0.0:
         raise ValueError("fields must be positive at every quadrature point")
     rp21 = ratio_power_jet(w1, w2, r)
@@ -206,10 +206,6 @@ def integral_gap(fam: OperatorFamily, r: float, w1: JetField, w2: JetField,
     a2 = fam.a_batch(w2.grads)
     lhs_i = np.sum(a1 * (w1.grads - rp21.grads), axis=1)
     rhs_i = np.sum(a2 * (rp12.grads - w2.grads), axis=1)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        lhs_i = np.where(mask, lhs_i, 0.0)
-        rhs_i = np.where(mask, rhs_i, 0.0)
     lhs = integrate(lhs_i, grid)
     rhs = integrate(rhs_i, grid)
     return IntegralGap(lhs=lhs, rhs=rhs, gap=lhs - rhs)

@@ -126,6 +126,9 @@ BAD_CONFIGS = {
     "denoise-missing-pgm": ("denoise", {"denoise": {"input": "missing.pgm"}}),
     "denoise-malformed-pgm": ("denoise", {"denoise": {"input": "bad.pgm"}}),
     "denoise-pgm-too-small": ("denoise", {"denoise": {"input": "small.pgm"}}),
+    "denoise-input-a-number": ("denoise", {"denoise": {"input": 5}}),
+    "denoise-n-a-list": ("denoise", {"denoise": {"n": [1]}}),
+    "denoise-mu-a-list": ("denoise", {"denoise": {"mu": [1]}}),
     "uniqueness-init-outside-unit": ("uniqueness", _SMALL | {"inits": [0.2, 1.5]}),
     # fewer than two limits leave nothing to compare
     "uniqueness-no-inits": ("uniqueness", _SMALL | {"inits": []}),

@@ -197,23 +197,6 @@ def test_integral_gap_positivity_requirement():
         integral_gap(fam, 2.0, bad, ok, grid)
 
 
-def test_integral_gap_masked_subset():
-    grid = grid_1d(64)
-    w1, w2 = _jets_quadratic_affine(grid)
-    fam = two_phase(grid)
-    mask = grid.quad_points[:, 0] < 0.5
-    left = integral_gap(fam, fam.r_order, w1, w2, grid, mask=mask)
-    right = integral_gap(fam, fam.r_order, w1, w2, grid, mask=~mask)
-    full = integral_gap(fam, fam.r_order, w1, w2, grid)
-    assert left.gap >= -1e-10 * (1 + abs(left.lhs))
-    assert right.gap >= -1e-10 * (1 + abs(right.lhs))
-    assert left.gap + right.gap == pytest.approx(full.gap, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# jets of ratios and quotients
-# ---------------------------------------------------------------------------
-
 def test_ratio_power_jet_examples():
     grid = grid_1d(32)
     x = grid.quad_points[:, 0]

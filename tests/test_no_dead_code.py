@@ -1,7 +1,7 @@
-"""Dead-code guard: every import of a pxlab module is used in it, and every
-private module-level name is read somewhere in the package.  A read is a
-name or attribute in a Load context; definitions, assignments and imports
-do not count."""
+"""Dead-code guard: every import of a pxlab module is used in it, every
+private module-level name is read somewhere in the package, and no private
+name is imported from another module.  A read is a name or attribute in a
+Load context; definitions, assignments and imports do not count."""
 
 import ast
 from pathlib import Path
@@ -58,3 +58,11 @@ def test_every_import_is_used(path):
 def test_every_private_name_is_read_in_the_package(path):
     package_reads = set().union(*(_reads(_tree(p)) for p in PACKAGE.glob("*.py")))
     assert sorted(_private_definitions(_tree(path)) - package_reads) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_name_is_imported_from_another_module(path):
+    crossing = [a.name for node in ast.walk(_tree(path))
+                if isinstance(node, ast.ImportFrom) and node.level > 0
+                for a in node.names if a.name.startswith("_")]
+    assert crossing == []

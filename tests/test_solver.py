@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from pxlab import (SolveConfig, build_grid, discrete_energy,
-                   discrete_hessian, discrete_residual, minimize,
-                   residual_norm, synthetic_image, uniqueness_experiment,
-                   verify_weak_solution)
+                   discrete_gradient, discrete_hessian, discrete_residual,
+                   integrate, minimize, residual_norm, synthetic_image,
+                   uniqueness_experiment, verify_weak_solution)
 from pxlab import solver
-from pxlab.grid import _centered_diff, _centered_diff_adjoint
+from pxlab.grid import stencil_adjoint
 
 from util import fidelity_src, grid_1d, grid_2d, image_op, power_src, \
     single_phase, two_phase, zero_src
@@ -50,13 +50,31 @@ def test_residual_zero_at_constant_states():
 
 def test_stencil_adjointness():
     rng = np.random.default_rng(0)
-    for shape, h, axis in [((3,), 0.5, 0), ((17,), 0.1, 0),
-                           ((6, 9), 0.2, 0), ((6, 9), 0.3, 1)]:
-        u = rng.standard_normal(shape)
-        v = rng.standard_normal(shape)
-        lhs = np.sum(_centered_diff(u, h, axis) * v)
-        rhs = np.sum(u * _centered_diff_adjoint(v, h, axis))
+    for grid in (build_grid(1, 3, 1.5), grid_1d(17), grid_2d(6),
+                 build_grid(2, (6, 9), (1.2, 2.7))):
+        u = rng.standard_normal(grid.npoints)
+        F = rng.standard_normal((grid.npoints, grid.dim))
+        lhs = np.sum(discrete_gradient(u, grid) * F)
+        rhs = u @ stencil_adjoint(F, grid)
         assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("op_name", ["two", "image"])
+def test_residual_pairing_is_the_weak_form_pairing(dim, op_name):
+    # verify_weak_solution computes the weak-form pairing as residual . phi
+    grid = grid_1d(24) if dim == 1 else build_grid(2, (7, 9), (1.0, 1.4))
+    fam = two_phase(grid) if op_name == "two" else image_op(grid)
+    rng = np.random.default_rng(8)
+    for src in (fidelity_src(grid.npoints, g=0.4, mu=1.3), power_src(grid.npoints)):
+        for _ in range(4):
+            U = rng.uniform(0.05, 1.2, grid.n)
+            phi = rng.standard_normal(grid.npoints)
+            flux = fam.a_batch(discrete_gradient(U, grid))
+            t1 = integrate(np.sum(flux * discrete_gradient(phi, grid), axis=1), grid)
+            t2 = integrate(src.fbar_vals(U.ravel()) * phi, grid)
+            pairing = discrete_residual(fam, src, U, grid) @ phi
+            assert abs(pairing - (t1 - t2)) <= 1e-12 * (abs(t1) + abs(t2))
 
 
 @pytest.mark.parametrize("op_name", ["single", "two", "image"])
@@ -437,7 +455,7 @@ def test_weak_form_defect_bounded_by_residual_norm():
     for _ in range(5):
         U = rng.uniform(0.1, 0.9, grid.n)
         rn = residual_norm(discrete_residual(fam, fid, U, grid), grid)
-        rep = verify_weak_solution(fam, fid, U, grid, n_tests=12, seed=4)
+        rep = verify_weak_solution(fam, fid, U, grid, seed=4)
         assert rep["max_normalized_defect"] <= rn * (1.0 + 1e-10)
 
 
