@@ -184,11 +184,13 @@ def _certified_row_sums(x: np.ndarray) -> np.ndarray:
     under half the gap from |s| down to its neighbour toward zero, s is the
     nearest double and no tie, so it is what ``math.fsum`` returns.  Every
     other row (non-finite, sigma overflowing, a zero or subnormal sum, a
-    near tie, heavy cancellation) is summed by ``math.fsum`` in row order.
+    near tie, heavy cancellation) is summed by ``math.fsum`` in row order;
+    for rows of zeros alone its value depends only on their signs.
     """
     n = x.shape[1]
     with np.errstate(all="ignore"):
-        _, top = np.frexp(np.max(np.abs(x), axis=1, initial=0.0))
+        amax = np.max(np.abs(x), axis=1, initial=0.0)
+        _, top = np.frexp(amax)
         sigma = np.ldexp(1.0, top + (n + 1).bit_length())[:, None]
         q = sigma + x
         q -= sigma
@@ -202,7 +204,12 @@ def _certified_row_sums(x: np.ndarray) -> np.ndarray:
         err = np.abs((t1 - (s - back)) + (t2 - back))
         mag = np.abs(s)
         ok = np.isfinite(s) & (err + bound < 0.5 * (mag - np.nextafter(mag, 0.0)))
-    s[~ok] = [math.fsum(row) for row in x[~ok].tolist()]
+    zero = amax == 0.0  # an empty row sums as fsum([]), like one with a +0.0
+    if zero.any():
+        negative = np.signbit(x[zero]).all(axis=1) & (n > 0)
+        s[zero] = np.where(negative, math.fsum([-0.0]), math.fsum([0.0, -0.0]))
+    rest = ~(ok | zero)
+    s[rest] = [math.fsum(row) for row in x[rest].tolist()]
     return s
 
 
@@ -307,12 +314,17 @@ def idct(x: np.ndarray) -> np.ndarray:
     return x
 
 
+_TWIDDLES: dict = {}  # read-only, by length
+
+
 def _dct_twiddle(n: int) -> np.ndarray:
     """Orthonormal scales times the half-sample phases exp(-i pi k / 2n)."""
-    k = np.arange(n)
-    w = np.sqrt(2.0 / n) * np.exp(-0.5j * np.pi * k / n)
-    w[0] /= math.sqrt(2.0)
-    return w
+    if n not in _TWIDDLES:
+        w = np.sqrt(2.0 / n) * np.exp(-0.5j * np.pi * np.arange(n) / n)
+        w[0] /= math.sqrt(2.0)
+        w.flags.writeable = False
+        _TWIDDLES[n] = w
+    return _TWIDDLES[n]
 
 
 def jet_linear(a, w1: JetField, b, w2: JetField) -> JetField:

@@ -6,9 +6,9 @@ Two built-in families:
   energy density, and
 * the image-processing profile  Phi(x, s) = s^(p(x)-1) ln^delta(1+s)  below a
   threshold eps and  eps^(p(x)-alpha) s^(alpha-1) ln^delta(1+s)  above it,
-  whose primitive has no elementary closed form.  It is evaluated by a
-  fixed-cost rule: a power series integrated termwise next to s = 0 and
-  Gauss-Legendre panels in ln s everywhere else, accurate to a few ulp.
+  whose primitive has no elementary closed form.  It is evaluated to a few
+  ulp by a power series summed by Horner's rule next to s = 0, and by
+  Gauss-Legendre panels in ln s from a prefix-sum table everywhere else.
 
 All evaluations are pure; a family is immutable after construction.
 """
@@ -204,7 +204,13 @@ class ImageFamily(OperatorFamily):
         # tau0 <= 1/delta keeps its condition number below e.
         self._tau0 = min(0.5, 1.0 / self.delta)
         ln_ratio = (-1.0) ** np.arange(_SERIES_TERMS) / np.arange(1.0, _SERIES_TERMS + 1)
-        self._series = _series_power(ln_ratio, self.delta)
+        self._series = _series_power(ln_ratio, self.delta).reshape(-1, _HORNER_ORDER, 1)
+        # the series over [0, min(eps, tau0)], a value of p alone, per distinct p
+        # (sorted and deduplicated by hand: a bare np.unique imports numpy.ma)
+        ps = np.sort(p.values)
+        self._p_distinct = ps[np.append(True, ps[1:] != ps[:-1])]
+        cap = np.full_like(self._p_distinct, min(self.eps, self._tau0))
+        self._series_top = self._series_sum(cap, self._p_distinct)
 
     def point_params(self) -> np.ndarray:
         """p(x); eps, delta and alpha are shared by every point."""
@@ -250,38 +256,43 @@ class ImageFamily(OperatorFamily):
 
     def _A_pairs(self, t, p):
         # Every step below is elementwise, a reduction over one row's own terms
-        # or, above the cap, a series value of p alone, so each value depends
-        # only on its own (t, p), whatever the batch.
+        # or a lookup of a value of p alone or of a panel table entry, which
+        # depends on its exponent and index only, so each value depends only
+        # on its own (t, p), whatever the batch.
         eps, delta, tau0 = self.eps, self.delta, self._tau0
-        # [0, min(t, cap)] by the series; every limit at or above the cap has
-        # the same upper end, so its series value depends on p alone and is
-        # summed once per distinct p
-        cap = min(eps, tau0)
-        out = np.empty_like(t)
-        low = t < cap
+        # above eps the x-dependence factors out of the integral
+        alpha = np.array([self.alpha])
+        tail = eps ** (p - self.alpha) * _log_panels(eps, math.inf, t, alpha, 0, delta)
+        # [0, min(t, eps, tau0)] by the series, looked up from min(eps, tau0) on
+        u = np.searchsorted(self._p_distinct, p)
+        out = self._series_top[u]
+        low = t < min(eps, tau0)
         out[low] = self._series_sum(t[low], p[low])
-        p_top, inverse = np.unique(p[~low], return_inverse=True)
-        out[~low] = self._series_sum(np.full_like(p_top, cap), p_top)[inverse]
         # the rest of the low branch, [tau0, min(t, eps)]
         if eps > tau0:
-            out += _log_panels(tau0, eps, t, p, delta)
-        # above eps the x-dependence factors out of the integral
-        tail = _log_panels(eps, math.inf, t, np.broadcast_to(self.alpha, t.shape), delta)
-        return out + eps ** (p - self.alpha) * tail
+            out += _log_panels(tau0, eps, t, self._p_distinct, u, delta)
+        return out + tail
 
     def _series_sum(self, tau, p):
         # s^(p-1) ln^delta(1+s) = s^(p-1+delta) g(s)^delta over [0, tau_i],
-        # integrated termwise as tau^c sum_k b_k tau^k / (c + k), c = p + delta
-        # a block of rows at a time, each row summed by itself
+        # integrated termwise as tau^(p+delta) sum_k b_k tau^k / (p + delta + k)
+        # and summed by Horner's rule of order L = _HORNER_ORDER (Knuth, TAOCP
+        # vol. 2, 4.6.4): lane j holds the terms k = j mod L by Horner in
+        # tau^L, then Horner in tau joins the lanes; a block of rows at a time
+        b = self._series
+        k = np.arange(b.size, dtype=float).reshape(b.shape)
         c = p + self.delta
-        k = np.arange(self._series.size)
         sums = np.empty_like(tau)
-        for blk in row_blocks(tau.size, k.size):
-            terms = tau[blk, None] ** k
-            terms *= self._series
-            terms /= c[blk, None] + k
-            sums[blk] = np.sum(terms, axis=1)
-        return tau**c * sums
+        for blk in row_blocks(tau.size, _HORNER_ORDER):
+            tb, cb = tau[blk], c[blk]
+            y = tb ** _HORNER_ORDER
+            lanes = b[-1] / (cb + k[-1])
+            for g in range(b.shape[0] - 2, -1, -1):
+                lanes *= y
+                lanes += b[g] / (cb + k[g])
+            sums[blk] = np.polynomial.polynomial.polyval(tb, lanes, tensor=False)
+        # tau^p tau^delta: rounding p + delta would cost |ln tau| ulps
+        return tau**p * tau**self.delta * sums
 
 
 def make_multiphase(exponents, weights, alpha: float | None = None,
@@ -346,8 +357,9 @@ def make_image_operator(p: ExponentField, eps: float, delta: float,
 # ---------------------------------------------------------------------------
 
 # 60 terms reach 2^-56 relative on [0, tau0] for every delta (at most 56 needed,
-# at delta = 2 and tau0 = 1/2)
+# at delta = 2 and tau0 = 1/2), summed by Horner's rule in 10 lanes of 6
 _SERIES_TERMS = 60
+_HORNER_ORDER = 10
 # the 12-point Gauss-Legendre rule mapped to [0, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
@@ -364,47 +376,65 @@ def _series_power(a: np.ndarray, delta: float) -> np.ndarray:
     return b
 
 
-def _log_panels(lo: float, hi: float, t, q, delta: float) -> np.ndarray:
-    """Integral of s^(q_i-1) ln^delta(1+s) over [lo, min(t_i, hi)] for each row i.
+def _log_panels(lo: float, hi: float, t, qs, u, delta: float) -> np.ndarray:
+    """Integral of s^(q_i-1) ln^delta(1+s) over [lo, min(t_i, hi)] for each row i,
+    where q_i = qs[u_i] for an index array u shaped like t, or one index u.
 
-    In v = ln s this is the integral of e^(q_i v) ln^delta(1 + e^v) over
+    In v = ln s this is the integral of e^(q v) ln^delta(1 + e^v) over
     [a, b_i], a = ln lo and b_i = ln clip(t_i, lo, hi).  The integrand is
     analytic in the strip |Im v| < pi, so the 12-point Gauss-Legendre rule
-    on equal panels of width <= min(1, 8/(q + delta)), anchored at a, is
-    accurate to rounding.  Each row gets its own panel count and its panels
-    are summed by themselves (no padding to the longest row), so a row's
-    value does not depend on the other rows.  The nodes are built a block
-    of rows at a time, so memory stays bounded by the longest row.  Rows
-    with t_i <= lo give 0.
+    on panels of width <= H_q = min(1, 8/(q + delta)) is accurate to
+    rounding.  The prefix sums of whole panels [a + j H_q, a + (j+1) H_q]
+    form a table per exponent, and row i adds the entry of its
+    J_i = floor((b_i - a) / H_q) whole panels and one panel over
+    [a + J_i H_q, b_i].  A panel and a prefix sum depend only on (q, j), so
+    a row's value does not depend on the other rows.  Rows with t_i <= lo
+    give 0.
     """
     a = math.log(lo)
     b = np.log(np.clip(t, lo, hi))
     out = np.zeros_like(b)
-    m = np.ceil((b - a) * np.maximum(1.0, (q + delta) / 8.0)).astype(np.intp)
-    live = np.flatnonzero(m > 0)
-    m = m[live]
-    h = b[live]
-    del b  # the panels need only their counts and widths
-    h -= a
-    h /= m
-    for blk in row_blocks(live.size, m * _GL_NODES.size):
-        mb, hb = m[blk], h[blk]
-        starts = np.cumsum(mb) - mb
-        row = np.repeat(np.arange(mb.size), mb)   # the row of every panel
-        j = np.arange(row.size, dtype=float)      # its index within the row
-        j -= starts[row]
-        # v = a + h (j + node) and f = e^(q v) ln^delta(1 + e^v) w, in place
-        v = j[:, None] + _GL_NODES
-        v *= hb[row][:, None]
-        v += a
-        f = q[live[blk]][row][:, None] * v
+    live = np.flatnonzero(b > a)
+    b = b[live]
+    u = u[live] if np.ndim(u) else u
+    width = np.minimum(1.0, 8.0 / (qs + delta))
+    # each exponent's table runs to the longest live row; the panel ends
+    # a + j H are rounded alike in the table and the rows, so that the
+    # panels tile [a, b_i] with neither gap nor overlap
+    full = np.zeros(qs.size, dtype=np.intp)
+    full[u] = np.floor((b.max(initial=a) - a) / width[u])
+    owner = np.repeat(np.arange(qs.size), full)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(full) - full, full)
+    w = width[owner]
+    start = a + j * w
+    table = np.zeros((qs.size, full.max() + 1))
+    table[owner, j + 1] = _gl_panels(start, (a + (j + 1) * w) - start, qs[owner], delta)
+    np.cumsum(table, axis=1, out=table)
+    J = np.floor((b - a) / width[u])
+    start = a + J * width[u]
+    b -= start  # the width of each row's last panel
+    out[live] = table[u, J.astype(np.intp)] + _gl_panels(
+        start, b, np.broadcast_to(qs[u], b.shape), delta)
+    return out
+
+
+def _gl_panels(start, width, q, delta: float) -> np.ndarray:
+    """The 12-point Gauss-Legendre rule for the integral of e^(q_i v)
+    ln^delta(1 + e^v) over [start_i, start_i + width_i], for each panel i,
+    a block of panels at a time so that memory stays bounded."""
+    out = np.empty_like(start)
+    for blk in row_blocks(start.size, _GL_NODES.size):
+        # v = start + width node and f = e^(q v) ln^delta(1 + e^v) w, in place
+        v = width[blk, None] * _GL_NODES
+        v += start[blk, None]
+        f = q[blk, None] * v
         np.exp(f, out=f)
         np.exp(v, out=v)
         np.log1p(v, out=v)
         v **= delta
         f *= v
         f *= _GL_WEIGHTS
-        out[live[blk]] = hb * np.add.reduceat(f.ravel(), _GL_NODES.size * starts)
+        out[blk] = width[blk] * np.add.reduceat(f.ravel(), np.arange(0, f.size, _GL_NODES.size))
     return out
 
 

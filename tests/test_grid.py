@@ -175,6 +175,21 @@ def test_certified_row_sums_match_fsum_on_random_rows(seed):
         assert [v.hex() for v in got.tolist()] == [math.fsum(r).hex() for r in x.tolist()]
 
 
+def test_certified_row_sums_of_zero_rows_match_fsum_without_calling_it(monkeypatch):
+    # rows of +0.0, of -0.0 and of both, widths 0 to 40: fsum's own value,
+    # taken once per kind of row and not once per row
+    rng = np.random.default_rng(6)
+    fsum = math.fsum
+    for n in range(41):
+        x = np.where(rng.random((60, n)) < [[0.0], [1.0], [0.5]] * 20, -0.0, 0.0)
+        calls = []
+        monkeypatch.setattr(pxlab.grid.math, "fsum", lambda r: calls.append(1) or fsum(r))
+        got = _certified_row_sums(x)
+        monkeypatch.undo()
+        assert [v.hex() for v in got.tolist()] == [fsum(r).hex() for r in x.tolist()]
+        assert len(calls) <= 2
+
+
 def test_stacked_integrate_certifies_most_rows(monkeypatch):
     # the vectorized path is the rule and math.fsum the exception
     calls = []

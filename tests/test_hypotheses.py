@@ -327,7 +327,7 @@ def test_witness_names_the_first_point_of_a_failing_tuple(grid):
 # every check ran at every point (the synthetic data has no repeated tuple)
 GATE_DIGESTS = {
     "solve": "0a206e390d3623c0ecf5c46501b2657e0590fb7bd08616beb6ee3d35eab2bf10",
-    "denoise": "f3241a356cf5ffd99cd65f8e5ef5f81d3fbc98f12c3f4f71dff06fe5920cc926",
+    "denoise": "7cdc4d13be36e6c1c9a081d9ce75f5a054aff69fc772e7dd2be2930158ede2f4",
 }
 
 

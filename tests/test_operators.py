@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -206,6 +207,109 @@ def test_image_primitive_matches_quad_references(eps, delta):
             assert got[i] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+def _mp_integrals(q, delta, start, ends):
+    """Integrals of e^(q v) ln^delta(1 + e^v) over [start, e] for each of the
+    sorted ends, by mpmath.quad at the working precision: each gap between
+    neighbouring ends is one more piece, by tanh-sinh from -inf and by
+    Gauss-Legendre on the finite (smooth, mostly short) pieces."""
+    def f(v):
+        return mpmath.exp(q * v) * mpmath.log1p(mpmath.exp(v)) ** delta
+    out, total, prev = [], mpmath.mpf(0), start
+    for e in ends:
+        if e > prev:
+            method = "tanh-sinh" if prev == -mpmath.inf else "gauss-legendre"
+            total += mpmath.quad(f, [prev, e], method=method)
+            prev = e
+        out.append(total)
+    return out
+
+
+def _mp_primitive(exps, eps, delta, alpha, limits):
+    """A(t_i) of the image profile at exponent exps[i], to 30 digits, by
+    mpmath.quad in v = ln s: the low branch up to ln min(t, eps) per exponent
+    and the tail from ln eps to ln t, each accumulated over sorted limits."""
+    with mpmath.workdps(30):
+        eps_m, delta_m, alpha_m = mpmath.mpf(eps), mpmath.mpf(delta), mpmath.mpf(alpha)
+        v = [mpmath.log(mpmath.mpf(t)) for t in limits]
+        cut = mpmath.log(eps_m)
+        order = np.argsort(limits, kind="stable")
+        tail = dict(zip(order, _mp_integrals(alpha_m, delta_m, cut,
+                                             [max(v[i], cut) for i in order])))
+        ref = {}
+        for p in set(exps):
+            rows = [i for i in order if exps[i] == p]
+            low = _mp_integrals(mpmath.mpf(p), delta_m, -mpmath.inf,
+                                [min(v[i], cut) for i in rows])
+            for i, lo in zip(rows, low):
+                ref[i] = lo + eps_m ** (mpmath.mpf(p) - alpha_m) * tail[i]
+        return [ref[i] for i in range(len(limits))]
+
+
+def _ulps(got, ref):
+    """|got - ref| / |ref| in units of 2^-53, per value."""
+    with mpmath.workdps(30):
+        return np.array([float(abs(mpmath.mpf(float(g)) - r) / abs(r)) * 2.0 ** 53
+                         for g, r in zip(got, ref)])
+
+
+# the largest error of A_batch against _mp_primitive over the 384 limits of
+# test_image_primitive_matches_mpmath, in units of 2^-53 relative, as the
+# termwise series with per-row panels read it (34.84, median 3.98); Horner's
+# rule with tau^p tau^delta and the tiled panel table read 16.51 (median 1.93)
+MPMATH_MAX_ULPS = 34.9
+
+
+def test_image_primitive_matches_mpmath():
+    # eps below and above 1/2 (and above tau0, so that the low branch has
+    # panels), every delta regime, a variable exponent, and limits from 1e-4
+    # to 1e6: the error may not exceed the one measured before the series
+    # was summed by Horner's rule and the panels came from a table
+    limits = np.logspace(-4.0, 6.0, 64)
+    exps = np.resize([1.7, 2.05, 2.6, 3.4], limits.size)
+    grid = grid_1d(limits.size)
+    errors = []
+    for eps, delta, alpha in ((0.05, 0.5, 1.5), (1.9, 0.7, 1.25), (0.5, 1.0, 1.5),
+                              (0.3, 1.37, 1.25), (2.2, 1.37, 1.5), (3.0, 2.5, 1.25)):
+        fam = make_image_operator(exponent_field(grid, exps), eps, delta, alpha)
+        ref = _mp_primitive(exps.tolist(), eps, delta, alpha, limits.tolist())
+        errors.append(_ulps(fam.A_batch(limits), ref))
+    errors = np.concatenate(errors)
+    assert errors.size == 384
+    assert errors.max() <= MPMATH_MAX_ULPS, (errors.max(), np.median(errors))
+
+
+def test_image_primitive_at_the_panel_table_edges():
+    # limits at the panel edges lo e^(j H) of the low branch (lo = tau0) and
+    # of the tail (lo = eps), at their float neighbours, at lo itself and at
+    # 1e300 (alpha near 1 keeps A finite there): each agrees with mpmath, and
+    # each stays bit for bit the same when a far limit in the same batch
+    # lengthens the tail's table.  ln t and the nodes in v = ln s carry
+    # rounding of |ln t| 2^-53, which e^(q v) makes q |ln t| ulps relative
+    # (216 of them at 1e300 from ln t alone), so that much is allowed on top.
+    eps, delta, alpha = 3.0, 0.5, 1.01
+    tau0 = 0.5
+    limits, exps = [], []
+    for p, lo, width in ((1.05, tau0, 1.0), (9.5, tau0, 8.0 / 10.0),
+                         (1.05, eps, 1.0), (9.5, eps, 1.0)):
+        for j in range(3 if lo == eps else 2):
+            edge = lo * math.exp(j * width)
+            for t in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                limits.append(t)
+                exps.append(p)
+    limits.append(1e300)
+    exps.append(1.05)
+    grid = grid_1d(len(limits))
+    fam = make_image_operator(exponent_field(grid, np.array(exps)), eps, delta, alpha)
+    got = fam.A_batch(np.array(limits))
+    ref = _mp_primitive(exps, eps, delta, alpha, limits)
+    q = np.where(np.array(limits) > eps, alpha, exps)
+    assert np.all(_ulps(got, ref) <= MPMATH_MAX_ULPS + q * np.abs(np.log(limits)))
+    near = fam.A_batch(np.array(limits[:-1]), points=np.arange(len(limits) - 1))
+    assert np.array_equal(near, got[:-1])
+    single = [_A_at(fam, i, t) for i, t in enumerate(limits)]
+    assert np.array_equal(got, single)
+
+
 def test_image_primitive_is_batch_independent():
     # one batch spanning every regime (0, the series, the low panels above
     # 1/2, the tail with 1 to 17 panels) against one-point batches and a
@@ -248,32 +352,32 @@ def test_image_primitive_sums_the_clamped_series_once_per_exponent(monkeypatch):
 
 
 # float.hex of A_batch at the limits below (one row of 8 per exponent 1.8, 2.0,
-# 3.4) from the termwise-series implementation: a refactor of the primitive
-# may not move a bit
+# 3.4) from the series by Horner's rule and the panel table: a refactor of
+# the primitive may not move a bit
 GOLDEN_BITS = {
     (0.5, 1.0): """
-        0x0.0p+0 0x1.be55ec1c5bdefp-86 0x1.666272de60b94p-5 0x1.666272de60b95p-5
-        0x1.666272de60b99p-5 0x1.666272de60b95p-5 0x1.2730056988916p+0 0x1.a8646efc255d7p+32
-        0x0.0p+0 0x1.a68cd9e6dc70dp-92 0x1.2269439c13719p-5 0x1.2269439c1371bp-5
-        0x1.2269439c1371ep-5 0x1.2269439c1371bp-5 0x1.004d2346747a8p+0 0x1.7174790a42564p+32
-        0x0.0p+0 0x1.3e472f32d4320p-134 0x1.283c5a4bc5fc2p-7 0x1.283c5a4bc5fc5p-7
-        0x1.283c5a4bc5fcap-7 0x1.283c5a4bc5fc5p-7 0x1.7ffb5b899d09bp-2 0x1.17fe9841e104ap+31
+        0x0.0p+0 0x1.be55ec1c5bdcdp-86 0x1.666272de60b92p-5 0x1.666272de60b94p-5
+        0x1.666272de60b98p-5 0x1.666272de60b94p-5 0x1.2730056988916p+0 0x1.a8646efc255dfp+32
+        0x0.0p+0 0x1.a68cd9e6dc70dp-92 0x1.2269439c1371ap-5 0x1.2269439c1371cp-5
+        0x1.2269439c1371fp-5 0x1.2269439c1371cp-5 0x1.004d2346747a8p+0 0x1.7174790a4256bp+32
+        0x0.0p+0 0x1.3e472f32d4353p-134 0x1.283c5a4bc5fc2p-7 0x1.283c5a4bc5fc5p-7
+        0x1.283c5a4bc5fcap-7 0x1.283c5a4bc5fc5p-7 0x1.7ffb5b899d09bp-2 0x1.17fe9841e104fp+31
     """.split(),
     (1.9, 0.7): """
-        0x0.0p+0 0x1.e956b9624d175p-77 0x1.03f04277db61cp-4 0x1.03f04277db61dp-4
-        0x1.03f04277db61fp-4 0x1.74a56a23a7386p+0 0x1.a26fe10ada892p+0 0x1.245b521a3d475p+32
-        0x0.0p+0 0x1.cb95c23eebe4bp-83 0x1.a2217e301e55bp-5 0x1.a2217e301e55dp-5
-        0x1.a2217e301e561p-5 0x1.860d126660c8cp+0 0x1.ba1d3704d9545p+0 0x1.4c66f24122795p+32
-        0x0.0p+0 0x1.4e5a6f7906ffcp-125 0x1.9d06998d3ed42p-7 0x1.9d06998d3ed45p-7
-        0x1.9d06998d3ed4bp-7 0x1.332f3bc384c9cp+1 0x1.731f32d55b6d5p+1 0x1.98370375aa5d5p+33
+        0x0.0p+0 0x1.e956b9624d176p-77 0x1.03f04277db61cp-4 0x1.03f04277db61dp-4
+        0x1.03f04277db61fp-4 0x1.74a56a23a7386p+0 0x1.a26fe10ada892p+0 0x1.245b521a3d46ep+32
+        0x0.0p+0 0x1.cb95c23eebe72p-83 0x1.a2217e301e55dp-5 0x1.a2217e301e55fp-5
+        0x1.a2217e301e563p-5 0x1.860d126660c8dp+0 0x1.ba1d3704d9546p+0 0x1.4c66f2412278dp+32
+        0x0.0p+0 0x1.4e5a6f7906fe0p-125 0x1.9d06998d3ed41p-7 0x1.9d06998d3ed43p-7
+        0x1.9d06998d3ed49p-7 0x1.332f3bc384c9cp+1 0x1.731f32d55b6d5p+1 0x1.98370375aa5cbp+33
     """.split(),
     (0.2, 2.5): """
-        0x0.0p+0 0x1.435ef39735436p-131 0x1.8e73523d47e9bp-13 0x1.8e73523d47e9fp-13
-        0x1.8e73523d47e9fp-13 0x1.8e73523d47e9fp-13 0x1.67a01f852bf51p-1 0x1.e2a299b93c822p+37
-        0x0.0p+0 0x1.396d6536f5a69p-137 0x1.138523a58ee08p-13 0x1.138523a58ee0bp-13
-        0x1.138523a58ee0bp-13 0x1.138523a58ee0bp-13 0x1.04a55ff97be54p-1 0x1.5dcddc9ddb659p+37
-        0x0.0p+0 0x1.0817da49645d5p-179 0x1.5e49414e56e89p-17 0x1.5e49414e56e8fp-17
-        0x1.5e49414e56e8fp-17 0x1.5e49414e56e8fp-17 0x1.b61cd1eb6086cp-5 0x1.2601aa22d0a35p+34
+        0x0.0p+0 0x1.435ef3973541dp-131 0x1.8e73523d47e98p-13 0x1.8e73523d47e9dp-13
+        0x1.8e73523d47e9dp-13 0x1.8e73523d47e9dp-13 0x1.67a01f852bf51p-1 0x1.e2a299b93c819p+37
+        0x0.0p+0 0x1.396d6536f5a69p-137 0x1.138523a58ee08p-13 0x1.138523a58ee09p-13
+        0x1.138523a58ee09p-13 0x1.138523a58ee09p-13 0x1.04a55ff97be54p-1 0x1.5dcddc9ddb651p+37
+        0x0.0p+0 0x1.0817da4964600p-179 0x1.5e49414e56e8ep-17 0x1.5e49414e56e93p-17
+        0x1.5e49414e56e93p-17 0x1.5e49414e56e93p-17 0x1.b61cd1eb6086cp-5 0x1.2601aa22d0a2fp+34
     """.split(),
 }
 
