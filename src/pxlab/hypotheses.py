@@ -6,25 +6,22 @@ every quadrature point of the supplied sampling, through one point per
 distinct parameter tuple: a family's per-point maps depend on the point
 only through ``point_params()``, so the first point of each tuple stands
 for all of its points, and witnesses name it.  A report then equals a
-check at every point bit for bit, except that H12-lipschitz draws its
-random pairs per tuple, which also moves the H13 ladder drawn after them.
-The H8 energy bounds integrate trial fields over every point.  A failing
-check always carries a witness.  These are falsification checks, not
-proofs.
+check at every point bit for bit.  Every check but H4 and H8 reads its
+family on a seeded ladder of s shared by every tuple, evaluated as the
+broadcast pair (ladder row, column of points).  The H8 energy bounds
+integrate trial fields over every point.  A failing check always carries
+a witness.  These are falsification checks, not proofs.
 
 On continuous data every point is its own tuple, so the ladders are
 evaluated in blocks of at most ``grid.BLOCK_ELEMENTS`` values, and each
 check folds its blocks into the result a single evaluation over every
 row would give: the same worst value, verdict, note and witness (the
-first in row-major order among equal slacks).  The H12-lipschitz pairs
-are drawn a block at a time from two copies of the seeded generator, so
-they are the same doubles as whole arrays drawn in turn.  Memory then
-grows with the number of points, not with SAMPLES times it.
+first in row-major order among equal slacks).  Memory then grows with the
+number of points, not with SAMPLES times it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -118,14 +115,6 @@ def _representatives(params: np.ndarray) -> np.ndarray:
     return np.sort(order[first])
 
 
-def _ladder_matrix(values, reps, ladder):
-    """Evaluate a per-point map on a shared s-ladder at the points ``reps``;
-    returns (len(reps), len(ladder))."""
-    pts = np.repeat(reps, ladder.size)
-    s = np.tile(ladder, reps.size)
-    return values(s, pts).reshape(reps.size, ladder.size)
-
-
 def _further(new: float, old, larger: bool) -> bool:
     """Whether ``new`` replaces ``old`` (None before the first block) as the
     running max (``larger``) or min of a fold; NaN wins, as in np.max and
@@ -141,20 +130,18 @@ class _Peak:
     """The largest value of blocks fed in row-major order, with a witness at
     the first position that holds it, as np.max and np.argmax give over the
     blocks stacked.  ``witness(k)`` names flat position k of a block.
-
-    Every value must be at most STRICT_MARGIN times its ``scale`` (1 when
-    omitted), for values that are differences of larger terms."""
+    Every value must be at most STRICT_MARGIN."""
 
     def __init__(self):
         self.value = None
         self.witness = None
         self.within = True
 
-    def add(self, vals: np.ndarray, witness, scale=1.0) -> None:
+    def add(self, vals: np.ndarray, witness) -> None:
         value = float(vals.max())
         if _further(value, self.value, larger=True):
             self.value, self.witness = value, witness(int(np.argmax(vals)))
-        self.within &= bool(np.all(vals <= STRICT_MARGIN * scale))
+        self.within &= bool(np.all(vals <= STRICT_MARGIN))
 
     def result(self, note: str = "") -> CheckResult:
         """Pass when every value is within its margin."""
@@ -292,7 +279,7 @@ def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
     h7 = _LadderFold(ladder, decreasing=False, strict=fam.strict_flag)
     for blk in row_blocks(reps.size, SAMPLES):
         rows = reps[blk]
-        phi = _ladder_matrix(fam.phi, rows, ladder)
+        phi = fam.phi(ladder[None, :], rows[:, None])
         h5.add(phi, rows)
         bound = a + b * ladder[None, :] ** (fam.exponent.values[rows, None] - 1.0)
         h6.add((phi - bound) / np.maximum(1.0, bound),
@@ -340,16 +327,22 @@ def check_source_hypotheses(src: SourceFamily, seed: int = 0) -> HypothesisRepor
     """H11 (signs at 0 and 1), H12 (shifted monotonicity, Lipschitz), H13/H13',
     and the same structure for the extension (fbar, Fbar) beyond [0, 1].
 
+    H12 reads one seeded ladder of SAMPLES rungs on [0, 1]: H12-monotone
+    (f + lambda0 s strictly increasing) on the ladder itself, and
+    H12-lipschitz (f + gamma s and gamma s - f nondecreasing) on the ladder
+    closed by s = 0 and 1, on the same values of f.  Each step then has
+    |f step| <= gamma |s step|, and by the triangle inequality so has every
+    pair of rungs.  H13/H13' read a seeded log ladder on [1e-6, 1].
+
     The extension checks run on EXTENSION_LADDER: ext-lipschitz (fbar
     gamma-Lipschitz on [-3, 4]), ext-monotone (fbar + lambda0 s strictly
     increasing on [-3, 4]), and on its positive rungs s = t^(1/alpha),
     ext-convex (t -> -Fbar(t^(1/alpha)) convex) and ext-ratio
     (fbar(t^(1/alpha)) / t^((alpha-1)/alpha) nonincreasing).
 
-    Every check runs once per distinct tuple of ``src.point_params()``;
-    H12-lipschitz draws SAMPLES random pairs per tuple.  Every entry gates
-    ``ok`` except H13' when the source does not claim a strict ratio
-    (``strict13_flag``).
+    Every check runs once per distinct tuple of ``src.point_params()``.
+    Every entry gates ``ok`` except H13' when the source does not claim a
+    strict ratio (``strict13_flag``).
     """
     rng = np.random.default_rng(seed)
     rep = HypothesisReport(seed=seed)
@@ -365,35 +358,19 @@ def check_source_hypotheses(src: SourceFamily, seed: int = 0) -> HypothesisRepor
         rep.checks["H11"] = CheckResult("fail", worst,
                                         (int(reps[i]), 0.0 if -f0[i] > f1[i] else 1.0))
 
-    # H12-lipschitz pairs: s1 is the next SAMPLES * R doubles of the stream
-    # and s2 the SAMPLES * R after them, laid out (sample, rep); two copies
-    # of the generator walk them a block at a time, and H13's ladder is
-    # drawn after both
     ladder = np.sort(rng.uniform(0.0, 1.0, size=SAMPLES))
-    npairs = SAMPLES * reps.size
-    draw1, draw2 = _fork(rng, 0), _fork(rng, npairs)
-    rng.bit_generator.advance(2 * npairs)
     s_lad = _log_ladder(rng, hi=1.0)
+    closed = np.concatenate([[0.0], ladder, [1.0]])
+    gs_closed = src.gamma * closed
 
-    lip = _Peak()
-    for blk in row_blocks(npairs, 1):
-        # the points at positions blk of the (sample, rep) layout
-        head = reps[blk.start % reps.size:][:blk.stop - blk.start]
-        pts = np.concatenate([head, np.resize(reps, blk.stop - blk.start - head.size)])
-        s1 = draw1.uniform(0.0, 1.0, size=pts.size)
-        s2 = draw2.uniform(0.0, 1.0, size=pts.size)
-        f1, f2 = src.f_vals(s1, pts), src.f_vals(s2, pts)
-        bound = src.gamma * np.abs(s1 - s2)
-        # the margin scales with the terms, whose rounding grows with mu
-        lip.add(np.abs(f1 - f2) - bound, lambda k: (int(pts[k]), float(s1[k]), float(s2[k])),
-                scale=np.abs(f1) + np.abs(f2) + bound)
-
-    # the extension the solver's energy is built from; inside [0, 1] it is f.
-    # ext-lipschitz: |fbar step| <= gamma |s step|, so fbar + gamma s and
-    # gamma s - fbar are nondecreasing; these rows cancel to constants off
-    # [0, 1], so their margins scale with the terms.  The root-order maps of
-    # t = s^alpha run on the positive rungs, crossing t = 1; t ->
-    # -Fbar(t^(1/alpha)) is convex when its chord slopes are nondecreasing.
+    # H12-lipschitz and ext-lipschitz: |f step| <= gamma |s step|, so
+    # f + gamma s and gamma s - f are nondecreasing; these rows can cancel
+    # to constants (a fidelity source, the extension off [0, 1]), so their
+    # margins scale with the terms, whose rounding grows with gamma.  The
+    # extension the solver's energy is built from is f inside [0, 1].  The
+    # root-order maps of t = s^alpha run on the positive rungs, crossing
+    # t = 1; t -> -Fbar(t^(1/alpha)) is convex when its chord slopes are
+    # nondecreasing.
     s = EXTENSION_LADDER
     gs = src.gamma * s
     pos = s > 0.0
@@ -403,6 +380,7 @@ def check_source_hypotheses(src: SourceFamily, seed: int = 0) -> HypothesisRepor
     lad_power = s_lad[None, :] ** ((src.alpha - 1.0) / src.alpha)
     folds = {
         "H12-monotone": _LadderFold(ladder, decreasing=False, strict=True),
+        "H12-lipschitz": _LadderFold(closed, decreasing=False, strict=False),
         "H13": _LadderFold(s_lad, decreasing=True, strict=False),
         "H13'": _LadderFold(s_lad, decreasing=True, strict=True),
         "ext-lipschitz": _LadderFold(s, decreasing=False, strict=False),
@@ -412,34 +390,25 @@ def check_source_hypotheses(src: SourceFamily, seed: int = 0) -> HypothesisRepor
     }
     for blk in row_blocks(reps.size, SAMPLES):
         rows = reps[blk]
-        # f on the broadcast pair gives the same bits as on the flat inputs
-        # of _ladder_matrix and takes about a third of the time; fbar, Fbar
-        # and Phi are not faster that way
-        folds["H12-monotone"].add(src.f_vals(ladder[None, :], rows[:, None])
-                                  + src.lambda0 * ladder[None, :], rows)
+        f = src.f_vals(closed[None, :], rows[:, None])
+        folds["H12-monotone"].add(f[:, 1:-1] + src.lambda0 * ladder[None, :], rows)
+        folds["H12-lipschitz"].add(np.stack([f + gs_closed, gs_closed - f]), rows,
+                                   scale=np.abs(f) + np.abs(gs_closed))
         ratio = src.f_vals(lad_root, rows[:, None]) / lad_power
         folds["H13"].add(ratio, rows)
         folds["H13'"].add(ratio, rows)
-        fbar = _ladder_matrix(src.fbar_vals, rows, s)
+        fbar = src.fbar_vals(s[None, :], rows[:, None])
         folds["ext-lipschitz"].add(np.stack([fbar + gs, gs - fbar]), rows,
                                    scale=np.abs(fbar) + np.abs(gs))
         folds["ext-monotone"].add(fbar + src.lambda0 * s, rows)
-        slopes = np.diff(-_ladder_matrix(src.Fbar_vals, rows, root), axis=1) / np.diff(t)
+        slopes = np.diff(-src.Fbar_vals(root[None, :], rows[:, None]), axis=1) / np.diff(t)
         folds["ext-convex"].add(slopes, rows)
         folds["ext-ratio"].add(fbar[:, pos] / root ** (src.alpha - 1.0), rows)
 
-    rep.checks["H12-monotone"] = folds.pop("H12-monotone").result()
-    rep.checks["H12-lipschitz"] = lip.result()
     rep.checks.update((name, fold.result()) for name, fold in folds.items())
     if not src.strict13_flag:
         rep.informational.add("H13'")
     return rep
-
-
-def _fork(rng, skip: int):
-    """A generator that continues the stream of ``rng`` ``skip`` draws
-    ahead, leaving ``rng`` where it is."""
-    return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
 
 
 def gate(fam: OperatorFamily, src: SourceFamily, grid: Grid, seed: int) -> tuple:

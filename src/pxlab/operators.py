@@ -64,7 +64,10 @@ class OperatorFamily:
 
     Every evaluation is a batch: per-point values s (or t) paired with
     point indices ``points`` (all points in order when omitted, which also
-    takes stacked rows of shape (..., npoints)).
+    takes stacked rows of shape (..., npoints)).  The two broadcast
+    together; each per-point parameter is gathered at the index's own shape
+    and spread over the result by broadcasting, so a (rows, k) batch on a
+    (k,) or (rows, 1) index gathers k or rows values, not rows * k.
 
     Attributes
     ----------
@@ -89,9 +92,11 @@ class OperatorFamily:
         self.exponent = exponent
 
     def _align(self, s, points):
+        """``s`` broadcast to the batch shape, and the point index at its own
+        shape, which broadcasts against it."""
         s = np.asarray(s, dtype=float)
         idx = np.arange(self.npoints) if points is None else np.asarray(points)
-        return np.broadcast_arrays(s, idx)
+        return np.broadcast_to(s, np.broadcast_shapes(s.shape, idx.shape)), idx
 
     # -- radial profile ------------------------------------------------
 
@@ -243,7 +248,7 @@ class ImageFamily(OperatorFamily):
         shape = t.shape
         order = np.argsort(t, axis=None)
         ts = t.ravel()[order]
-        ps = self.p.values[idx.ravel()[order]]
+        ps = self.p.values[np.broadcast_to(idx, shape).ravel()[order]]
         first = np.empty(ts.size, dtype=bool)
         first[:1] = True
         np.not_equal(ts[1:], ts[:-1], out=first[1:])

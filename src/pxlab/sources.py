@@ -95,9 +95,12 @@ class SourceFamily:
         return np.where(s < 0.0, self.gamma, np.where(s <= 1.0, inner, -self.gamma))
 
     def _align(self, s, points):
+        """``s`` broadcast to the batch shape, and the point index at its own
+        shape: each per-point parameter is gathered once per index entry and
+        spread over stacked rows by broadcasting, with the same bits."""
         s = np.asarray(s, dtype=float)
         idx = np.arange(self.npoints) if points is None else np.asarray(points)
-        return np.broadcast_arrays(s, idx)
+        return np.broadcast_to(s, np.broadcast_shapes(s.shape, idx.shape)), idx
 
     def point_params(self) -> np.ndarray:
         """The per-point parameter tuples, shape (npoints, k).

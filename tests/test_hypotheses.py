@@ -132,16 +132,42 @@ class SteeperFidelity(FidelitySource):
 
 @pytest.mark.parametrize("mu", [1.0, 1e4, 1e6])
 def test_lipschitz_margin_scales_with_the_source(grid, mu):
-    # the pairs' differences round at about mu times 1e-16 (worst 1.8e-12 at
-    # mu = 1e4 and 1.5e-10 at 1e6 here), above an absolute 1e-12; with the
-    # margin scaled by the terms an exactly mu-Lipschitz source passes and a
-    # 0.1% steeper one still fails
+    # f + mu s = mu g is constant, so its steps are rounding of about mu
+    # times 1e-16 (worst -2.7e-12 at mu = 1e4 and -2.3e-10 at 1e6 here),
+    # below an absolute -1e-12; with the margin scaled by the terms an
+    # exactly mu-Lipschitz source passes and a 0.1% steeper one still fails.
+    # Its f + mu s falls by 1e-3 mu per unit of s, and the widest of the
+    # SAMPLES + 1 steps of the closed ladder is at least 1 / (SAMPLES + 1).
     g = np.linspace(0.0, 1.0, grid.npoints)
     exact = check_source_hypotheses(fidelity_src(grid.npoints, g=g, mu=mu), seed=3)
     assert exact.passed("H12-lipschitz")
     steep = check_source_hypotheses(SteeperFidelity(g, mu, 1.5), seed=3).checks["H12-lipschitz"]
     assert steep.status == "fail"
-    assert steep.worst > 1e-4 * mu and steep.witness is not None
+    assert steep.worst < -0.999e-3 * mu / (SAMPLES + 1) and steep.witness is not None
+
+
+class SteepMiddle(FidelitySource):
+    """Fidelity source with slope -mu off [0.4, 0.5] and (kink - 1) mu on it."""
+
+    kink = 0.0
+
+    def _f(self, s, idx):
+        return super()._f(s, idx) + self.kink * self.mu * (np.clip(s, 0.4, 0.5) - 0.4)
+
+
+@pytest.mark.parametrize("kink", [-1.0, 3.0])
+def test_lipschitz_witness_brackets_the_steep_interval(grid, kink):
+    # slope -2 gamma or 2 gamma on [0.4, 0.5]: f + gamma s or gamma s - f
+    # falls only there, by gamma times the length a step of the ladder
+    # shares with it; the witness is the step sharing the most, and worst
+    # is minus that length
+    src = SteepMiddle(np.full(grid.npoints, 0.5), 1.0, 1.5)
+    src.kink = kink
+    lip = check_source_hypotheses(src, seed=3).checks["H12-lipschitz"]
+    assert lip.status == "fail"
+    point, s_lo, s_hi = lip.witness
+    assert point == 0 and s_lo < 0.5 and 0.4 < s_hi
+    assert lip.worst == pytest.approx(-(min(s_hi, 0.5) - max(s_lo, 0.4)), abs=1e-12)
 
 
 def test_reports_are_deterministic(grid):
@@ -179,9 +205,9 @@ def test_gate_samples_each_family_once(grid, monkeypatch):
 
 
 def test_image_gate_memory_64():
-    # The source checks peak near 19.2 MB here (every point of the synthetic
+    # The source checks peak near 2.7 MB here (every point of the synthetic
     # data is its own tuple) and the operator checks, on one exponent, near
-    # 3.8 MB; at every point they peaked near 15 MB.
+    # 1.3 MB.
     g = grid_2d(64)
     fam = image_op(g)
     src = fidelity_src(g.npoints, g=synthetic_image(64, seed=7).ravel())
@@ -211,9 +237,9 @@ def test_gate_memory_128_with_quantized_data():
 
 
 def test_source_gate_memory_128_with_continuous_data():
-    # every point of the synthetic data is its own tuple; the ladders and
-    # the H12-lipschitz pairs run in blocks (the whole 64 x npoints
-    # matrices peaked near 76.7 MB)
+    # every point of the synthetic data is its own tuple; the ladders run
+    # in blocks (near 3.0 MB; the whole 64 x npoints matrices peaked near
+    # 76.7 MB)
     src = fidelity_src(128 * 128, g=synthetic_image(128, seed=7).ravel())
     tracemalloc.start()
     try:
@@ -262,31 +288,36 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_source_checks_draw_the_seeded_stream_in_order(monkeypatch):
-    # the H12-monotone ladder, then SAMPLES * npoints values of s1 and as
-    # many of s2 laid out (sample, point), then the H13 ladder: the pairs
-    # are walked in blocks, but the draws are those of whole arrays
+    # the H12 ladder, then the H13 ladder: the next 2 * SAMPLES draws of the
+    # seeded stream, whatever the block size; H12-lipschitz reads the H12
+    # ladder closed by 0 and 1, and its steps fold to those of every row
     n = 24
     rng = np.random.default_rng(11)
     src = power_src(n, r1=rng.uniform(0.5, 2.0, n), q1=rng.uniform(1.0, 3.0, n))
     src.gamma *= 0.5
     stream = np.random.default_rng(9)
-    stream.uniform(0.0, 1.0, size=SAMPLES)
-    s1 = stream.uniform(0.0, 1.0, size=SAMPLES * n)
-    s2 = stream.uniform(0.0, 1.0, size=SAMPLES * n)
-    pts = np.tile(np.arange(n), SAMPLES)
-    lip = np.abs(src.f_vals(s1, pts) - src.f_vals(s2, pts)) - src.gamma * np.abs(s1 - s2)
-    i = int(np.argmax(lip))
-    s_lad = np.sort(np.exp(stream.uniform(np.log(1e-6), 0.0, size=SAMPLES)))
+    h12 = np.sort(stream.uniform(0.0, 1.0, size=SAMPLES))
+    h13 = np.sort(np.exp(stream.uniform(np.log(1e-6), 0.0, size=SAMPLES)))
+    closed = np.concatenate([[0.0], h12, [1.0]])
+    f = src.f_vals(closed[None, :], np.arange(n)[:, None])
+    steps = np.diff(np.stack([f + src.gamma * closed, src.gamma * closed - f]), axis=-1)
     ladders = []
-    log_ladder = hypotheses._log_ladder
-    monkeypatch.setattr(hypotheses, "_log_ladder",
-                        lambda *a, **k: ladders.append(log_ladder(*a, **k)) or ladders[-1])
+
+    class Recorded(_LadderFold):
+        def __init__(self, ladder, **kwargs):
+            ladders.append(ladder)
+            super().__init__(ladder, **kwargs)
+
+    monkeypatch.setattr(hypotheses, "_LadderFold", Recorded)
     for block in (7, 2 ** 40):
         monkeypatch.setattr(pxlab.grid, "BLOCK_ELEMENTS", block)
+        ladders.clear()
         rep = check_source_hypotheses(src, seed=9)
-        assert rep.checks["H12-lipschitz"].worst == lip.max()
-        assert rep.checks["H12-lipschitz"].witness == (int(pts[i]), s1[i], s2[i])
-        assert np.array_equal(ladders.pop(), s_lad)
+        # H12-monotone, H12-lipschitz, H13 and H13' in turn
+        for ladder, expected in zip(ladders, (h12, closed, h13, h13)):
+            assert np.array_equal(ladder, expected)
+        assert rep.checks["H12-lipschitz"].status == "fail"
+        assert rep.checks["H12-lipschitz"].worst == steps.min()
 
 
 def test_constant_exponent_image_evaluates_one_row(grid, monkeypatch):
@@ -323,11 +354,11 @@ def test_witness_names_the_first_point_of_a_failing_tuple(grid):
 
 
 # sha256 of the sorted-key JSON of gate(...)[0] at seed 7 on 32x32: the
-# README solve problem and the default denoise, as reports gave them when
-# every check ran at every point (the synthetic data has no repeated tuple)
+# README solve problem and the default denoise (the synthetic data has no
+# repeated tuple), with H12-lipschitz read on the closed H12 ladder
 GATE_DIGESTS = {
-    "solve": "0a206e390d3623c0ecf5c46501b2657e0590fb7bd08616beb6ee3d35eab2bf10",
-    "denoise": "7cdc4d13be36e6c1c9a081d9ce75f5a054aff69fc772e7dd2be2930158ede2f4",
+    "solve": "60a6caed073101d4266e052d9e153ec2dfa33ad8e757ff268ec21ee6e8801037",
+    "denoise": "df1f04d4203d908d2ae925ec79405d37462898e6312e3d0e91fb195bcb4db0a9",
 }
 
 

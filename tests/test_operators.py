@@ -331,6 +331,34 @@ def test_image_primitive_is_batch_independent():
         assert np.array_equal(mixed[:grid.npoints], batch[perm])
 
 
+def test_stacked_rows_gather_per_point_parameters_bit_for_bit(grid):
+    # (rows, k) magnitudes on a (k,) row of points, on a (rows, 1) column
+    # of points, and (rows, npoints) without points: the parameters are
+    # gathered at the index's shape and broadcast, and every value must be
+    # the one its element gives alone
+    rng = np.random.default_rng(8)
+    n = grid.npoints
+    families = [
+        make_multiphase([exponent_field(grid, rng.uniform(1.6, 2.4, n)),
+                         exponent_field(grid, rng.uniform(2.5, 3.5, n))],
+                        [rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)], alpha=1.5),
+        make_image_operator(exponent_field(grid, rng.uniform(1.6, 2.6, n)), 0.5, 1.0, 1.5),
+    ]
+    s = np.exp(rng.uniform(-6.0, 4.0, size=(4, 7)))
+    s[0, 0] = 0.5  # the image threshold eps
+    row = np.array([5, 0, 11, 3, 3, 7, 1])
+    cases = [(s, row), (s, row[:4, None]), (np.exp(rng.uniform(-6.0, 4.0, size=(3, n))), None)]
+    for fam in families:
+        for name in ("phi", "psi", "phi_prime", "A_batch"):
+            method = getattr(fam, name)
+            for vals, points in cases:
+                idx = np.broadcast_to(np.arange(n) if points is None else points, vals.shape)
+                alone = [method(vals[k][None], idx[k][None])[0] for k in np.ndindex(vals.shape)]
+                got = method(vals, points)
+                assert got.shape == vals.shape
+                assert got.tobytes() == np.array(alone).tobytes(), (type(fam).__name__, name)
+
+
 def test_image_primitive_sums_the_clamped_series_once_per_exponent(monkeypatch):
     # every limit at or above the cap min(eps, tau0) integrates the series
     # over the same [0, cap], so the series runs once per distinct exponent
