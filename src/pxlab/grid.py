@@ -234,6 +234,22 @@ def row_blocks(nrows: int, width):
         lo = hi
 
 
+def representatives(params) -> np.ndarray:
+    """The first point of each distinct row of ``params``, in point order.
+
+    ``params`` is a sequence of per-point arrays, the columns of the rows.
+    Rows are compared by their bits, so points share a representative only
+    when they hold the same tuple exactly.  One stable lexsort and a compare
+    of adjacent sorted rows; ``np.unique(..., axis=0)`` costs several times
+    more on data whose rows are all distinct.
+    """
+    keys = np.column_stack(params).astype(float, copy=False).view(np.uint64)
+    order = np.lexsort(keys.T)  # stable: equal rows stay in point order
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+    return np.sort(order[first])
+
+
 def discrete_gradient(u, grid: Grid) -> np.ndarray:
     """Stencil gradient D u of a nodal function (flat or node-shaped) at the
     cell centers, as an array of shape (npoints, dim).

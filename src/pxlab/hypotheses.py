@@ -1,23 +1,40 @@
 """Falsification-style validators for the operator and source hypotheses.
 
 Every experiment runs these first.  Checks are numeric, sampled, and
-deterministic under a seed.  Almost-everywhere statements are tested at
-every quadrature point of the supplied sampling, through one point per
-distinct parameter tuple: a family's per-point maps depend on the point
-only through ``point_params()``, so the first point of each tuple stands
-for all of its points, and witnesses name it.  A report then equals a
-check at every point bit for bit.  Every check but H4 and H8 reads its
-family on a seeded ladder of s shared by every tuple, evaluated as the
-broadcast pair (ladder row, column of points).  The H8 energy bounds
-integrate trial fields over every point.  A failing check always carries
-a witness.  These are falsification checks, not proofs.
+deterministic under a seed.  Almost-everywhere statements are claims at
+every quadrature point of the supplied sampling.  Each family names the
+points whose checks decide those at every point, ``gate_points()``; the
+checks read the family at those points only, and witnesses name one of
+them.  Every check but H4 and H8 reads its family on a seeded ladder of s
+shared by every point, evaluated as the broadcast pair (ladder row,
+column of points).  The H8 energy bounds integrate trial fields over
+every point.  A failing check always carries a witness.  These are
+falsification checks, not proofs.
 
-On continuous data every point is its own tuple, so the ladders are
-evaluated in blocks of at most ``grid.BLOCK_ELEMENTS`` values, and each
-check folds its blocks into the result a single evaluation over every
-row would give: the same worst value, verdict, note and witness (the
-first in row-major order among equal slacks).  Memory then grows with the
-number of points, not with SAMPLES times it.
+Which points decide.  A family's per-point maps depend on the point only
+through its tuple of ``params``, so by default the gate points are the
+first point of each distinct tuple, and a report is bit for bit the one a
+check at every point gives.  A fidelity source f = mu (g - s) names two
+points: the first holding min g and the first holding max g.  Every row a
+source check reads is affine in g at each rung: f, fbar, Fbar, the H13
+ratio and the ext-ratio.  So each step is affine in g, and its least (or
+greatest) value over the data lies at g_min or g_max.  A strict check's
+slack, the step minus STRICT_MARGIN times the larger magnitude of its two
+values, is an affine function minus a convex one: concave in g, so it too
+is least at one of the two ends.  A non-strict check passes at every g
+when every step is nonnegative at both ends; it fails at an interior g
+only if a step is negative, though within its margin, at one of the ends.
+The two reports can therefore disagree only inside that band of 1e-12
+relative margin, and ``worst`` is the same extreme up to the rounding of
+the values at each g.
+
+When a family names many points (a continuous exponent or source
+coefficients), the ladders are evaluated in blocks of at most
+``grid.BLOCK_ELEMENTS`` values, and each check folds its blocks into the
+result a single evaluation over every row would give: the same worst
+value, verdict, note and witness (the first in row-major order among
+equal slacks).  Memory then grows with the number of points, not with
+SAMPLES times it.
 """
 
 from __future__ import annotations
@@ -98,21 +115,6 @@ class HypothesisReport:
 
 def _log_ladder(rng, lo=1e-6, hi=1e3):
     return np.sort(np.exp(rng.uniform(np.log(lo), np.log(hi), size=SAMPLES)))
-
-
-def _representatives(params: np.ndarray) -> np.ndarray:
-    """The first point of each distinct row of ``params``, in point order.
-
-    Rows are compared by their bits, so points share a representative only
-    when they hold the same tuple exactly.  One stable lexsort and a compare
-    of adjacent sorted rows; ``np.unique(..., axis=0)`` costs several times
-    more on data whose rows are all distinct.
-    """
-    keys = np.ascontiguousarray(params, dtype=float).view(np.uint64)
-    order = np.lexsort(keys.T)  # stable: equal rows stay in point order
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
-    return np.sort(order[first])
 
 
 def _further(new: float, old, larger: bool) -> bool:
@@ -236,8 +238,8 @@ def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
     H4 (Phi vanishes at 0) is tested at s = DECAY_RUNG.  H5 (Phi strictly
     increasing), H6 (Phi <= a + b s^(p(x)-1)) and H7 / H7' (Phi/s^(r-1)
     nondecreasing at r = ``r_order``, strictly under ``strict_flag``) read
-    one seeded log ladder of SAMPLES rungs on [1e-6, 1e3], once per
-    distinct tuple of ``fam.point_params()``.  H8 bounds the energy of the
+    one seeded log ladder of SAMPLES rungs on [1e-6, 1e3], at the points of
+    ``fam.gate_points()``: one per distinct parameter tuple.  H8 bounds the energy of the
     trial fields, integrated over every point, from below.  The constants
     are the family's:
 
@@ -263,7 +265,7 @@ def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
         c_tilde = 0.0 if fam.d0_tilde is None else fam.d0_tilde
     rng = np.random.default_rng(seed)
     rep = HypothesisReport(seed=seed)
-    reps = _representatives(fam.point_params())
+    reps = fam.gate_points()
 
     final = fam.phi(np.full(reps.size, DECAY_RUNG), reps)
     worst = float(final.max())
@@ -340,13 +342,15 @@ def check_source_hypotheses(src: SourceFamily, seed: int = 0) -> HypothesisRepor
     ext-convex (t -> -Fbar(t^(1/alpha)) convex) and ext-ratio
     (fbar(t^(1/alpha)) / t^((alpha-1)/alpha) nonincreasing).
 
-    Every check runs once per distinct tuple of ``src.point_params()``.
+    Every check runs at the points of ``src.gate_points()``: one per
+    distinct parameter tuple, or for a fidelity source the points holding
+    g_min and g_max.
     Every entry gates ``ok`` except H13' when the source does not claim a
     strict ratio (``strict13_flag``).
     """
     rng = np.random.default_rng(seed)
     rep = HypothesisReport(seed=seed)
-    reps = _representatives(src.point_params())
+    reps = src.gate_points()
 
     f0 = src.f_vals(np.zeros(reps.size), reps)
     f1 = src.f_vals(np.ones(reps.size), reps)

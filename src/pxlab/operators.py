@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, row_blocks
+from .grid import Grid, representatives, row_blocks
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,18 @@ class OperatorFamily:
         Whether Phi(x, .) is (p(x)-1)-homogeneous.
     exponent : ExponentField
         The family exponent p(x); for multi-phase sums the pointwise max.
+    params : tuple of ndarray
+        The per-point parameter arrays: Phi, its derivative and A depend on
+        the point only through the tuple of their values there.
     """
 
-    def __init__(self, r_order, strict_flag, homogeneous_flag, exponent):
+    def __init__(self, r_order, strict_flag, homogeneous_flag, exponent, params):
         self.npoints = exponent.values.shape[0]
         self.r_order = float(r_order)
         self.strict_flag = bool(strict_flag)
         self.homogeneous_flag = bool(homogeneous_flag)
         self.exponent = exponent
+        self.params = tuple(params)
 
     def _align(self, s, points):
         """``s`` broadcast to the batch shape, and the point index at its own
@@ -135,14 +139,15 @@ class OperatorFamily:
 
     # -- subclass hooks --------------------------------------------------
 
-    def point_params(self) -> np.ndarray:
-        """The per-point parameter tuples, shape (npoints, k).
+    def gate_points(self) -> np.ndarray:
+        """The points whose checks decide the checks at every point, sorted.
 
-        Contract: Phi, its derivative and A depend on the point only through
-        this tuple, so two points with the same row give the same values at
-        every s.  The hypothesis validators test one point per distinct row.
+        The hypothesis validators read the profile only at these points, and
+        a witness names one of them.  Two points with the same tuple of
+        ``params`` give the same values at every s, so the first point of
+        each distinct tuple stands for all of its points.
         """
-        raise NotImplementedError
+        return representatives(self.params)
 
     def _phi(self, s, idx):
         raise NotImplementedError
@@ -164,15 +169,12 @@ class MultiphaseFamily(OperatorFamily):
             strict_flag=alpha < p_lower,
             homogeneous_flag=(len(exponents) == 1),
             exponent=ExponentField(np.max([p.values for p in exponents], axis=0)),
+            params=[p.values for p in exponents] + list(weights),
         )
         self.exponents = tuple(exponents)
         self.weights = tuple(weights)
         self.d0 = d0
         self.d0_tilde = d0_tilde
-
-    def point_params(self) -> np.ndarray:
-        """Every phase's p_k(x), then every phase's w_k(x)."""
-        return np.column_stack([p.values for p in self.exponents] + list(self.weights))
 
     def _phi(self, s, idx):
         out = np.zeros_like(s)
@@ -197,8 +199,9 @@ class MultiphaseFamily(OperatorFamily):
 
 class ImageFamily(OperatorFamily):
     def __init__(self, p, eps, delta, alpha):
+        # eps, delta and alpha are shared by every point
         super().__init__(r_order=alpha, strict_flag=True, homogeneous_flag=False,
-                         exponent=p)
+                         exponent=p, params=(p.values,))
         self.p = p
         self.eps = float(eps)
         self.delta = float(delta)
@@ -216,10 +219,6 @@ class ImageFamily(OperatorFamily):
         self._p_distinct = ps[np.append(True, ps[1:] != ps[:-1])]
         cap = np.full_like(self._p_distinct, min(self.eps, self._tau0))
         self._series_top = self._series_sum(cap, self._p_distinct)
-
-    def point_params(self) -> np.ndarray:
-        """p(x); eps, delta and alpha are shared by every point."""
-        return self.p.values[:, None]
 
     def _phi(self, s, idx):
         p = self.p.values[idx]

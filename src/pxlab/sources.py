@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .grid import representatives
+
 
 class SourceFamily:
     """Per-quadrature-point source f(x, s) with primitive and extension.
@@ -28,9 +30,12 @@ class SourceFamily:
     strict13_flag : bool
         Whether the ratio f(x, s^(1/alpha)) / s^((alpha-1)/alpha) is claimed
         strictly decreasing; requires alpha < 2.
+    params : tuple of ndarray
+        The per-point parameter arrays: f, F, their extensions and f' depend
+        on the point only through the tuple of their values there.
     """
 
-    def __init__(self, npoints, gamma, alpha, strict13_flag):
+    def __init__(self, npoints, gamma, alpha, strict13_flag, params=()):
         if gamma <= 0.0:
             raise ValueError("gamma must be positive")
         if not 1.0 < alpha <= 2.0:
@@ -42,6 +47,7 @@ class SourceFamily:
         self.lambda0 = self.gamma + 1.0
         self.alpha = float(alpha)
         self.strict13_flag = bool(strict13_flag)
+        self.params = tuple(params)
         # the extension's constants f(x, 0), f(x, 1) and F(x, 1), per point;
         # a subclass sets its own attributes before calling this
         idx = np.arange(self.npoints)
@@ -102,15 +108,15 @@ class SourceFamily:
         idx = np.arange(self.npoints) if points is None else np.asarray(points)
         return np.broadcast_to(s, np.broadcast_shapes(s.shape, idx.shape)), idx
 
-    def point_params(self) -> np.ndarray:
-        """The per-point parameter tuples, shape (npoints, k).
+    def gate_points(self) -> np.ndarray:
+        """The points whose checks decide the checks at every point, sorted.
 
-        Contract: f, F, their extensions and f' depend on the point only
-        through this tuple, so two points with the same row give the same
-        values at every s.  The hypothesis validators test one point per
-        distinct row.
+        The hypothesis validators read the source only at these points, and
+        a witness names one of them.  Two points with the same tuple of
+        ``params`` give the same values at every s, so the first point of
+        each distinct tuple stands for all of its points.
         """
-        raise NotImplementedError
+        return representatives(self.params)
 
     def _f(self, s, idx):
         raise NotImplementedError
@@ -136,11 +142,8 @@ class PowerSource(SourceFamily):
             gamma = 1.0  # any positive constant bounds the zero source
         strict = bool(alpha < 2.0 and np.min(r1 + r2) > 0.0)
         self.r1, self.r2, self.q1, self.q2 = r1, r2, q1, q2
-        super().__init__(npoints=npts, gamma=gamma, alpha=alpha, strict13_flag=strict)
-
-    def point_params(self) -> np.ndarray:
-        """r1(x), r2(x), q1(x), q2(x)."""
-        return np.column_stack([self.r1, self.r2, self.q1, self.q2])
+        super().__init__(npoints=npts, gamma=gamma, alpha=alpha, strict13_flag=strict,
+                         params=(r1, r2, q1, q2))
 
     def _f(self, s, idx):
         return -self.r1[idx] * s ** self.q1[idx] - self.r2[idx] * s ** self.q2[idx]
@@ -178,12 +181,22 @@ class FidelitySource(SourceFamily):
     def __init__(self, g, mu, alpha):
         self.g = g
         self.mu = float(mu)
+        # mu is shared by every point
         super().__init__(npoints=g.shape[0], gamma=float(mu), alpha=alpha,
-                         strict13_flag=True)
+                         strict13_flag=True, params=(g,))
 
-    def point_params(self) -> np.ndarray:
-        """g(x); mu is shared by every point."""
-        return self.g[:, None]
+    def gate_points(self) -> np.ndarray:
+        """The first point holding min g and the first holding max g.
+
+        Every value a source check reads at a rung is affine in g (f, fbar,
+        Fbar and the ratios built from them), so each check's worst step
+        over the data lies at g_min or g_max; see :mod:`pxlab.hypotheses`.
+        A subclass must keep f affine in g or override this method;
+        ``SourceFamily.gate_points`` gives the first point of each distinct g.
+        """
+        # deduplicated by hand: np.unique imports numpy.ma, about 1 MB of RSS
+        ends = np.sort([np.argmin(self.g), np.argmax(self.g)])
+        return ends[:1] if ends[0] == ends[1] else ends
 
     def _f(self, s, idx):
         return self.mu * (self.g[idx] - s)

@@ -205,9 +205,8 @@ def test_gate_samples_each_family_once(grid, monkeypatch):
 
 
 def test_image_gate_memory_64():
-    # The source checks peak near 2.7 MB here (every point of the synthetic
-    # data is its own tuple) and the operator checks, on one exponent, near
-    # 1.3 MB.
+    # The operator checks, on one exponent, peak near 1.3 MB here and the
+    # source checks, at the points of g_min and g_max, near 0.02 MB.
     g = grid_2d(64)
     fam = image_op(g)
     src = fidelity_src(g.npoints, g=synthetic_image(64, seed=7).ravel())
@@ -221,8 +220,8 @@ def test_image_gate_memory_64():
 
 
 def test_gate_memory_128_with_quantized_data():
-    # constant p and 8-bit data: one operator tuple and at most 256 source
-    # tuples, so only the per-point H8 energies grow with the grid (~15 MB;
+    # constant p and 8-bit data: one operator tuple and two source points,
+    # so only the per-point H8 energies grow with the grid (~15 MB;
     # checking every point peaked near 76 MB)
     g = grid_2d(128)
     data = np.rint(synthetic_image(128, seed=7).ravel() * 255.0) / 255.0
@@ -237,8 +236,9 @@ def test_gate_memory_128_with_quantized_data():
 
 
 def test_source_gate_memory_128_with_continuous_data():
-    # every point of the synthetic data is its own tuple; the ladders run
-    # in blocks (near 3.0 MB; the whole 64 x npoints matrices peaked near
+    # every point of the synthetic data is its own tuple, but only the
+    # points of g_min and g_max are checked (near 0.02 MB; every point in
+    # blocks peaked near 3.0 MB, and the whole 64 x npoints matrices near
     # 76.7 MB)
     src = fidelity_src(128 * 128, g=synthetic_image(128, seed=7).ravel())
     tracemalloc.start()
@@ -247,7 +247,7 @@ def test_source_gate_memory_128_with_continuous_data():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6, peak
+    assert peak < 5e4, peak
 
 
 def _block_reports(g):
@@ -334,6 +334,92 @@ def test_constant_exponent_image_evaluates_one_row(grid, monkeypatch):
     assert seen == [(1, [0]), (SAMPLES, [0])]
 
 
+@pytest.mark.parametrize("constant", [False, True])
+def test_fidelity_gate_evaluates_two_points(monkeypatch, constant):
+    g = grid_2d(128)
+    data = np.full(g.npoints, 0.5) if constant else synthetic_image(128, seed=7).ravel()
+    src = fidelity_src(g.npoints, g=data)
+    seen = set()
+    for name in ("f_vals", "fbar_vals", "Fbar_vals"):
+        method = getattr(FidelitySource, name)
+
+        def recorded(self, s, points=None, _method=method):
+            seen.update(np.unique(points).tolist())
+            return _method(self, s, points)
+
+        monkeypatch.setattr(FidelitySource, name, recorded)
+    gate(single_phase(g), src, g, seed=1)
+    # the first point of min g and the first of max g; one point when they agree
+    assert seen == {int(np.argmin(data)), int(np.argmax(data))}
+    assert len(seen) == (1 if constant else 2)
+
+
+class EveryPoint(FidelitySource):
+    """The reference a fidelity gate must reproduce: its checks at every point."""
+
+    def gate_points(self):
+        return np.arange(self.npoints)
+
+
+class OnePoint(FidelitySource):
+    """A fidelity source checked at the point ``only`` alone."""
+
+    only = 0
+
+    def gate_points(self):
+        return np.array([self.only])
+
+
+def _fidelity_variant(cls, data, mu, alpha, tamper):
+    """A FidelitySource subclass ``cls`` on ``data``, tampered: gamma or
+    lambda0 understated, f steeper than gamma, or a steep kink."""
+    variant = {"steeper": SteeperFidelity, "kink": SteepMiddle}.get(tamper)
+    if variant is not None:
+        cls = variant if cls is FidelitySource else type(cls.__name__, (cls, variant), {})
+    src = cls(data, mu, alpha)
+    if tamper == "gamma":
+        src.gamma *= 0.3
+    elif tamper == "lambda0":
+        src.lambda0 = -2.0
+    elif tamper == "kink":
+        src.kink = 3.0
+    return src
+
+
+@pytest.mark.parametrize("tamper", [None, "gamma", "lambda0", "steeper", "kink"])
+@pytest.mark.parametrize("mu", [1.0, 1e4])
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_fidelity_gate_points_match_every_point(tamper, mu, alpha):
+    # every row a source check reads is affine in g, so the points of g_min
+    # and g_max decide each check as the every-point oracle does
+    rng = np.random.default_rng(int(alpha * 10) + int(mu))
+    for npoints in (24, 12 * 12):
+        data = rng.uniform(0.0, 1.0, npoints)
+        ends = (data.min(), data.max())
+        fast = check_source_hypotheses(_fidelity_variant(FidelitySource, data, mu, alpha, tamper),
+                                       seed=6).checks
+        oracle = check_source_hypotheses(_fidelity_variant(EveryPoint, data, mu, alpha, tamper),
+                                         seed=6).checks
+        assert fast.keys() == oracle.keys()
+        for name, check in fast.items():
+            assert (check.status, check.note) == (oracle[name].status, oracle[name].note), name
+            assert check.worst == pytest.approx(oracle[name].worst, rel=0.0,
+                                                abs=1e-12 * (1.0 + mu)), name
+            if check.status != "fail":
+                continue
+            # the witness point holds an end of the data, and the check
+            # fails there alone on the witness's rungs
+            assert data[check.witness[0]] in ends, name
+            one = _fidelity_variant(OnePoint, data, mu, alpha, tamper)
+            one.only = check.witness[0]
+            alone = check_source_hypotheses(one, seed=6).checks[name]
+            assert (alone.status, alone.witness) == ("fail", check.witness), name
+        if tamper is None:
+            assert all(c.status == "pass" for c in fast.values())
+        else:
+            assert any(c.status == "fail" for c in fast.values())
+
+
 class TripledWhereTwo(MultiphaseFamily):
     """Three times the power profile where the weight is 2: above the growth
     bound a = b = 2 only at those points."""
@@ -355,10 +441,11 @@ def test_witness_names_the_first_point_of_a_failing_tuple(grid):
 
 # sha256 of the sorted-key JSON of gate(...)[0] at seed 7 on 32x32: the
 # README solve problem and the default denoise (the synthetic data has no
-# repeated tuple), with H12-lipschitz read on the closed H12 ladder
+# repeated tuple), with H12-lipschitz read on the closed H12 ladder and the
+# source checked at the points of g_min and g_max
 GATE_DIGESTS = {
-    "solve": "60a6caed073101d4266e052d9e153ec2dfa33ad8e757ff268ec21ee6e8801037",
-    "denoise": "df1f04d4203d908d2ae925ec79405d37462898e6312e3d0e91fb195bcb4db0a9",
+    "solve": "5aacbd95346afa586e3232f7eba9d64906c03f6ce0dce24c994625ebfa19990b",
+    "denoise": "6a4b20fdb680515ae2208046e9eeeae5f2c850e00dd5f9e387f132e499de203d",
 }
 
 
