@@ -239,9 +239,9 @@ def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
     increasing), H6 (Phi <= a + b s^(p(x)-1)) and H7 / H7' (Phi/s^(r-1)
     nondecreasing at r = ``r_order``, strictly under ``strict_flag``) read
     one seeded log ladder of SAMPLES rungs on [1e-6, 1e3], at the points of
-    ``fam.gate_points()``: one per distinct parameter tuple.  H8 bounds the energy of the
-    trial fields, integrated over every point, from below.  The constants
-    are the family's:
+    ``fam.gate_points()``: one per distinct parameter tuple.  H8 bounds the
+    energy of the trial fields, integrated over every point, from below.
+    The constants are the family's:
 
     * multi-phase: a = b = sum_k max w_k, and H8-pX with the supplied
       ``d0``/``d0_tilde``, else (min w / p+, 0);
