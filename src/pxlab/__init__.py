@@ -4,7 +4,7 @@ convexity along segment paths."""
 
 from .grid import (AnalyticFieldSpec, Grid, JetField, alpha_root_jet,
                    build_grid, discrete_gradient, integrate, jet_linear,
-                   sample_jet)
+                   sample_jet, sample_values)
 from .operators import (ExponentField, OperatorFamily, check_homogeneity,
                         exponent_field, image_coercivity_constants,
                         image_growth_constant, make_image_operator,

@@ -11,7 +11,12 @@ grid's node shape ``n``.  Its stencil gradient D (:func:`discrete_gradient`,
 with adjoint :func:`stencil_adjoint`) uses centered differences with
 reflected ghost cells, which bakes in the homogeneous Neumann condition;
 the same reflection makes the DCT-II diagonalize D^T D
-(:func:`stencil_symbol`, :func:`dct`).
+(:func:`stencil_symbol`, :func:`dct`).  The stencil pair and the DCT pair
+work axis by axis on ``swapaxes`` views of the node-shaped array: the
+gradient writes each axis's differences into its ``(*n, dim)`` output in
+place, and the adjoint accumulates into its result, so neither copies an
+axis.  Each node sums its terms in one fixed order, which the tests pin
+bit for bit against ``np.moveaxis`` formulations.
 """
 
 from __future__ import annotations
@@ -261,33 +266,45 @@ def discrete_gradient(u, grid: Grid) -> np.ndarray:
     against a smooth field decays like O(h) under refinement.
     """
     vals = np.asarray(u, dtype=float).reshape(grid.n)
-    grads = np.empty((grid.npoints, grid.dim))
+    grads = np.empty((*grid.n, grid.dim))
     for axis, h in enumerate(grid.h):
-        v = np.moveaxis(vals, axis, 0)
-        g = np.empty_like(v)
-        g[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        g[0] = (v[1] - v[0]) / (2.0 * h)
-        g[-1] = (v[-1] - v[-2]) / (2.0 * h)
-        grads[:, axis] = np.moveaxis(g, 0, axis).ravel()
-    return grads
+        # the axis first, as views: each difference is written in place
+        v = vals.swapaxes(0, axis)
+        g = grads[..., axis].swapaxes(0, axis)
+        np.subtract(v[2:], v[:-2], out=g[1:-1])
+        np.subtract(v[1:2], v[:1], out=g[:1])
+        np.subtract(v[-1:], v[-2:-1], out=g[-1:])
+        g /= 2.0 * h
+    return grads.reshape(grid.npoints, grid.dim)
 
 
 def stencil_adjoint(flux, grid: Grid) -> np.ndarray:
     """D^T flux: the adjoint of :func:`discrete_gradient` with respect to the
     plain dot product, applied to per-point vectors of shape (npoints, dim)
-    and returned as a flat vector over the nodes."""
+    and returned as a flat vector over the nodes.
+
+    Axis 0 accumulates straight into the result, which starts at zeros;
+    each later axis accumulates into its own zeroed array, which is then
+    added, so every node sums its terms in one fixed order, signs of zeros
+    included.
+    """
+    fluxes = np.asarray(flux, dtype=float).reshape(*grid.n, grid.dim)
     out = np.zeros(grid.n)
     for axis, h in enumerate(grid.h):
-        v = np.moveaxis(flux[:, axis].reshape(grid.n), axis, 0)
-        r = np.zeros_like(v)
+        v = fluxes[..., axis].swapaxes(0, axis)
+        r = out if axis == 0 else np.zeros(grid.n)
+        rv = r.swapaxes(0, axis)
         w = 1.0 / (2.0 * h)
-        r[2:] += v[1:-1] * w
-        r[:-2] -= v[1:-1] * w
-        r[1] += v[0] * w
-        r[0] -= v[0] * w
-        r[-1] += v[-1] * w
-        r[-2] -= v[-1] * w
-        out += np.moveaxis(r, 0, axis)
+        inner = v[1:-1] * w
+        rv[2:] += inner
+        rv[:-2] -= inner
+        first, last = v[:1] * w, v[-1:] * w
+        rv[1:2] += first
+        rv[:1] -= first
+        rv[-1:] += last
+        rv[-2:-1] -= last
+        if axis:
+            out += r
     return out.ravel()
 
 
@@ -312,21 +329,21 @@ def stencil_symbol(grid: Grid) -> np.ndarray:
 def dct(x: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II over every axis, by real FFTs of the even extension."""
     for axis in range(x.ndim):
-        v = np.moveaxis(x, axis, -1)
+        v = x.swapaxes(axis, -1)
         n = v.shape[-1]
         spec = np.fft.rfft(np.concatenate([v, v[..., ::-1]], axis=-1))[..., :n]
-        x = np.moveaxis(0.5 * (spec * _dct_twiddle(n)).real, -1, axis)
+        x = (0.5 * (spec * _dct_twiddle(n)).real).swapaxes(axis, -1)
     return x
 
 
 def idct(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dct` (the orthonormal DCT-III over every axis)."""
     for axis in range(x.ndim):
-        v = np.moveaxis(x, axis, -1)
+        v = x.swapaxes(axis, -1)
         n = v.shape[-1]
         spec = v * _dct_twiddle(n).conj()  # irfft pads mode n with a zero
         spec[..., 0] *= 2.0
-        x = np.moveaxis(n * np.fft.irfft(spec, 2 * n)[..., :n], -1, axis)
+        x = (n * np.fft.irfft(spec, 2 * n)[..., :n]).swapaxes(axis, -1)
     return x
 
 
@@ -407,8 +424,17 @@ def sample_jet(spec: AnalyticFieldSpec, grid: Grid) -> JetField:
     if spec.name in ("ex51-pair", "ex52-pair"):
         return _counterexample_member(spec, grid)
     if spec.name == "noisy-image":
-        return _noisy_image(spec, grid)
+        return JetField(*_noisy_image(spec, grid, with_grads=True))
     raise AssertionError("unreachable")
+
+
+def sample_values(spec: AnalyticFieldSpec, grid: Grid) -> np.ndarray:
+    """The values of a catalog field at the quadrature points, equal bit for
+    bit to ``sample_jet(spec, grid).values`` wherever that returns; the
+    noisy image skips its gradients."""
+    if spec.name == "noisy-image":
+        return _noisy_image(spec, grid, with_grads=False)[0]
+    return sample_jet(spec, grid).values
 
 
 def _require_1d(grid: Grid, name: str) -> None:
@@ -448,8 +474,10 @@ def _counterexample_member(spec: AnalyticFieldSpec, grid: Grid) -> JetField:
     return JetField(vals * eta, (dvals * eta + vals * deta)[:, None])
 
 
-def _noisy_image(spec: AnalyticFieldSpec, grid: Grid) -> JetField:
-    """Seeded trigonometric polynomial: noisy-looking but smooth with exact jets."""
+def _noisy_image(spec: AnalyticFieldSpec, grid: Grid, with_grads: bool):
+    """Seeded trigonometric polynomial: noisy-looking but smooth with exact
+    jets.  Returns the values and the exact gradients, or None in place of
+    the gradients when ``with_grads`` is false."""
     p = spec.params
     seed = int(p.get("seed", 0))
     base = float(p.get("base", 0.5))
@@ -463,10 +491,11 @@ def _noisy_image(spec: AnalyticFieldSpec, grid: Grid) -> JetField:
     x = grid.quad_points
     scale = 2.0 * np.pi / np.asarray(grid.extent)
     vals = np.full(grid.npoints, base)
-    grads = np.zeros_like(x)
+    grads = np.zeros_like(x) if with_grads else None
     for m in range(modes):
         k = kvecs[m] * scale
         arg = x @ k + phases[m]
         vals += (amp / norm) * coeffs[m] * np.cos(arg)
-        grads += (-amp / norm) * coeffs[m] * np.sin(arg)[:, None] * k
-    return JetField(vals, grads)
+        if with_grads:
+            grads += (-amp / norm) * coeffs[m] * np.sin(arg)[:, None] * k
+    return vals, grads

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (AnalyticFieldSpec, Grid, dct, discrete_gradient, idct,
-                   integrate, row_blocks, sample_jet, stencil_adjoint, stencil_symbol)
+                   integrate, row_blocks, sample_values, stencil_adjoint, stencil_symbol)
 from .operators import OperatorFamily
 from .sources import SourceFamily
 
@@ -115,6 +115,21 @@ def discrete_energy(fam: OperatorFamily, src: SourceFamily, U, grid: Grid) -> fl
     return grad_term - source_term
 
 
+class _State:
+    """Nodal values ``u`` (flat) with their stencil gradient ``xi`` = D u and
+    its magnitudes ``s``, evaluated once for every use at u.  The residual
+    stores ``psi`` = psi(s) on the state for the Hessian to reuse, and
+    ``symbol`` is the stencil symbol (:func:`grid.stencil_symbol`) of the
+    solve the state belongs to, None outside a solve."""
+
+    def __init__(self, u, grid: Grid, symbol=None):
+        self.u = u
+        self.xi = discrete_gradient(u, grid)
+        self.s = np.linalg.norm(self.xi, axis=1)
+        self.psi = None
+        self.symbol = symbol
+
+
 def discrete_residual(fam: OperatorFamily, src: SourceFamily, U, grid: Grid) -> np.ndarray:
     """Exact gradient of the discrete energy with respect to the nodal values,
     as a flat vector over the nodes in C order.
@@ -124,9 +139,16 @@ def discrete_residual(fam: OperatorFamily, src: SourceFamily, U, grid: Grid) -> 
     stencil, so the reflected-ghost Neumann treatment needs no boundary
     flux term.  Raises ValueError when a component is not finite.
     """
-    flux = fam.a_batch(discrete_gradient(U, grid)) * grid.quad_weights[:, None]
+    return _residual(fam, src, _State(np.ravel(U), grid), grid)
+
+
+def _residual(fam: OperatorFamily, src: SourceFamily, st: _State, grid: Grid) -> np.ndarray:
+    """:func:`discrete_residual` at an evaluated state, storing psi(|D u|) on it."""
+    st.psi = fam.psi(st.s)
+    flux = st.psi[:, None] * st.xi
+    flux *= grid.quad_weights[:, None]
     res = stencil_adjoint(flux, grid)
-    res -= grid.quad_weights * src.fbar_vals(np.ravel(U))
+    res -= grid.quad_weights * src.fbar_vals(st.u)
     if not np.all(np.isfinite(res)):
         raise ValueError("discrete residual contains non-finite values")
     return res
@@ -148,16 +170,24 @@ def discrete_hessian(fam: OperatorFamily, src: SourceFamily, U, grid: Grid):
     the concave extension makes the diagonal negative.  The DCT-II
     diagonalizes D^T D (:func:`grid.stencil_symbol`), so M^{-1} costs two
     transforms.  Vectors are flat arrays over the grid's nodes.
+
+    U is a nodal array (flat or node-shaped), or the evaluated state of a
+    solve (:func:`minimize`), whose stencil gradient, magnitudes and symbol
+    are then reused, and psi(|D U|) too when no magnitude lies below the
+    floor.
     """
-    xi = discrete_gradient(U, grid)
-    s = np.linalg.norm(xi, axis=1)
-    sf = np.maximum(s, HESSIAN_FLOOR)
-    psi = fam.psi(sf)
+    st = U if isinstance(U, _State) else _State(np.ravel(U), grid, stencil_symbol(grid))
+    xi, s = st.xi, st.s
+    if st.psi is not None and s.min() >= HESSIAN_FLOOR:
+        sf, psi = s, st.psi
+    else:
+        sf = np.maximum(s, HESSIAN_FLOOR)
+        psi = fam.psi(sf)
     unit = np.divide(xi, s[:, None], out=np.zeros_like(xi), where=s[:, None] > 0.0)
     jac = (psi[:, None, None] * np.eye(grid.dim)
            + (fam.phi_prime(sf) - psi)[:, None, None] * unit[:, :, None] * unit[:, None, :])
     jac *= grid.quad_weights[:, None, None]
-    u = np.ravel(U)
+    u = st.u
     u_f = np.where((u >= 0.0) & (u < HESSIAN_FLOOR), HESSIAN_FLOOR, u)
     diag = -grid.quad_weights * src.fbar_prime_vals(u_f)
 
@@ -165,7 +195,7 @@ def discrete_hessian(fam: OperatorFamily, src: SourceFamily, U, grid: Grid):
         flux = np.matmul(jac, discrete_gradient(v, grid)[:, :, None])[:, :, 0]
         return stencil_adjoint(flux, grid) + diag * v.ravel()
 
-    symbol = stencil_symbol(grid)
+    symbol = st.symbol
     c = float(np.mean(np.trace(jac, axis1=1, axis2=2))) / grid.dim
     # mean(diag) is H's exact curvature along the constants (D 1 = 0); the
     # floor caps M's condition number at 1/sqrt(eps)
@@ -238,6 +268,13 @@ def minimize(cfg: SolveConfig) -> SolveResult:
     unconverged solve also measures its rounding floor (see
     :func:`_rounding_floor`), and the note says when the tolerance lies
     below it.  Deterministic: identical configs produce identical iterates.
+
+    Each state is evaluated once: a line-search trial computes its stencil
+    gradient D V and magnitudes |D V| (for A), and the accepted trial's
+    gradient, magnitudes and psi(|D V|) serve its residual and the next
+    Hessian (:func:`discrete_hessian` evaluates psi again, at the floored
+    magnitudes, only when one lies below ``HESSIAN_FLOOR``).  The stencil
+    symbol of the preconditioner is computed once per solve.
     """
     grid = cfg.grid
     if np.isscalar(cfg.init):
@@ -250,15 +287,15 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         raise ValueError("initial state contains non-finite values")
 
     fam, src = cfg.fam, cfg.src
-    A_at = lambda u: fam.A_batch(np.linalg.norm(discrete_gradient(u, grid), axis=1))
+    symbol = stencil_symbol(grid)
     # discrete_energy(u), given A at u's stencil gradients
     energy = lambda A_u, u: integrate(A_u, grid) - integrate(src.Fbar_vals(u), grid)
-    resid = lambda u: discrete_residual(fam, src, u, grid)
 
-    A_U = A_at(U)  # A at the stencil gradients of the current state
+    state = _State(U, grid, symbol)
+    A_U = fam.A_batch(state.s)  # A at the stencil gradients of the current state
     E = energy(A_U, U)
     history = [E]
-    g = resid(U)
+    g = _residual(fam, src, state, grid)
     rnorm = residual_norm(g, grid)
     best, best_at = rnorm, 0
     gnorm_prev = None
@@ -276,7 +313,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         eta = ETA_MAX if gnorm_prev is None else min(ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
         # no need to solve the linear model beyond half the tolerance
         eta = max(eta, 0.5 * cfg.residual_tol * float(grid.quad_weights.min()) / gnorm)
-        hvp, precond = discrete_hessian(fam, src, U, grid)
+        hvp, precond = discrete_hessian(fam, src, state, grid)
         d, spent = _truncated_cg(hvp, precond, g, eta)
         hvps += spent
         if not np.all(np.isfinite(d)):
@@ -290,21 +327,21 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         slope = float(g @ d)
         t = 1.0
         for _ in range(MAX_HALVINGS):
-            V = U + t * d
-            A_V = A_at(V)
-            dE = integrate(A_V - A_U, grid) - integrate(src.Fbar_diff(U, V), grid)
+            trial = _State(U + t * d, grid, symbol)
+            A_V = fam.A_batch(trial.s)
+            dE = integrate(A_V - A_U, grid) - integrate(src.Fbar_diff(U, trial.u), grid)
             if dE <= SUFFICIENT_DECREASE * t * slope:
                 break
             t *= 0.5
         else:
             note = "line search failed"
             break
-        U, A_U = V, A_V
+        state, U, A_U = trial, trial.u, A_V
         E += dE
         history.append(E)
         iterations += 1
         gnorm_prev = gnorm
-        g = resid(U)
+        g = _residual(fam, src, state, grid)
         rnorm = residual_norm(g, grid)
         if rnorm <= 0.5 * best:
             best, best_at = rnorm, iterations
@@ -312,7 +349,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
     converged = rnorm <= cfg.residual_tol
     floor = None
     if not converged:
-        floor = _rounding_floor(resid, U, g, grid)
+        floor = _rounding_floor(fam, src, U, g, grid)
         if cfg.residual_tol < floor:
             note += (f"; tolerance {cfg.residual_tol:g} is below the rounding floor"
                      f" {floor:.2g}")
@@ -332,15 +369,15 @@ def minimize(cfg: SolveConfig) -> SolveResult:
     )
 
 
-def _rounding_floor(resid, U, g, grid: Grid) -> float:
+def _rounding_floor(fam: OperatorFamily, src: SourceFamily, U, g, grid: Grid) -> float:
     """The residual sup norm that rounding U alone can produce: the norm of
-    resid(U + sigma spacing(U)) - g, with g = resid(U) and sigma random
-    signs from a fixed seed, i.e. the residual change under a 1-ulp
-    perturbation of every node.  Random rather than alternating signs: an
-    odd-even pattern lies in the centered stencil's kernel and would hide
-    the flux part."""
+    resid(U + sigma spacing(U)) - g, with resid the discrete residual,
+    g = resid(U) and sigma random signs from a fixed seed, i.e. the residual
+    change under a 1-ulp perturbation of every node.  Random rather than
+    alternating signs: an odd-even pattern lies in the centered stencil's
+    kernel and would hide the flux part."""
     sigma = np.random.default_rng(FLOOR_SEED).choice((-1.0, 1.0), size=U.shape)
-    return residual_norm(resid(U + sigma * np.spacing(U)) - g, grid)
+    return residual_norm(discrete_residual(fam, src, U + sigma * np.spacing(U), grid) - g, grid)
 
 
 def _band_limit(U, d):
@@ -399,7 +436,7 @@ def _random_test_function(rng, grid: Grid, k: int) -> np.ndarray:
     else:
         spec = AnalyticFieldSpec("noisy-image", {
             "seed": int(rng.integers(0, 2**31)), "base": 1.0, "amp": 0.5})
-    return sample_jet(spec, grid).values
+    return sample_values(spec, grid)
 
 
 def uniqueness_experiment(cfg: SolveConfig, inits) -> dict:
@@ -479,4 +516,4 @@ def synthetic_image(n: int = 32, seed: int = 7) -> np.ndarray:
 
     grid = build_grid(2, n, 1.0)
     spec = AnalyticFieldSpec("noisy-image", {"seed": seed, "base": 0.5, "amp": 0.3})
-    return sample_jet(spec, grid).values.reshape(n, n)
+    return sample_values(spec, grid).reshape(n, n)

@@ -7,8 +7,11 @@ import pytest
 import pxlab.grid
 from pxlab import (AnalyticFieldSpec, JetField, alpha_root_jet,
                    build_grid, discrete_gradient, integrate, jet_linear,
-                   sample_jet)
-from pxlab.grid import _certified_row_sums, dct, idct, stencil_symbol
+                   sample_jet, sample_values)
+from pxlab.grid import _certified_row_sums, dct, idct, stencil_adjoint, stencil_symbol
+
+from util import (POSITIVE_SPECS, ref_dct, ref_discrete_gradient, ref_idct,
+                  ref_stencil_adjoint)
 
 
 def test_build_grid_1d_midpoints():
@@ -324,6 +327,46 @@ def test_dct_round_trip_and_reference(shape):
     assert np.max(np.abs(dct(idct(x)) - x)) <= 1e-14
     assert np.max(np.abs(dct(x) - fft.dctn(x, type=2, norm="ortho"))) <= 1e-14
 
+
+
+def _signed_zero_data(rng, shape, scale):
+    """Normal draws times scale, about 10% of them replaced by +0.0 or -0.0."""
+    x = rng.standard_normal(shape) * scale
+    zero = rng.random(shape) < 0.1
+    x[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    return x
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("dim,n,extent", [(1, 3, 2.5), (1, 47, 2.5), (2, (3, 5), (1.0, 2.5)),
+                                          (2, (5, 3), (1.0, 2.5)), (2, (17, 40), (1.0, 2.5)),
+                                          (2, (64, 24), (1.0, 2.5))])
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+def test_kernels_match_the_moveaxis_reference_bit_for_bit(dim, n, extent, scale):
+    g = build_grid(dim, n, extent)
+    rng = np.random.default_rng(17)
+    u = _signed_zero_data(rng, g.n, scale)
+    flux = _signed_zero_data(rng, (g.npoints, dim), scale)
+    pairs = [(discrete_gradient(u, g), ref_discrete_gradient(u, g)),
+             (discrete_gradient(u.ravel(), g), ref_discrete_gradient(u.ravel(), g)),
+             (stencil_adjoint(flux, g), ref_stencil_adjoint(flux, g))]
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 overflows
+        pairs += [(dct(u), ref_dct(u)), (idct(u), ref_idct(u))]
+    for new, ref in pairs:
+        assert new.shape == ref.shape
+        assert np.array_equal(_bits(new), _bits(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sample_values_are_the_jet_values_bit_for_bit(dim):
+    g = build_grid(dim, 13, 1.7)
+    for spec in POSITIVE_SPECS + [AnalyticFieldSpec("noisy-image", {"seed": 3, "modes": 9})]:
+        assert np.array_equal(_bits(sample_values(spec, g)), _bits(sample_jet(spec, g).values))
+    with pytest.raises(ValueError):
+        sample_values(AnalyticFieldSpec("nope"), g)
 
 
 def test_jetfield_validation():

@@ -346,6 +346,42 @@ def test_hvp_count_is_the_number_of_hessian_products(monkeypatch):
     assert res.hvps == len(calls)
 
 
+def _counted(monkeypatch, owner, name, log, record=lambda *args: None):
+    """Replace owner.name by a wrapper that appends record(*args) to log."""
+    fn = getattr(owner, name)
+
+    def counting(*args):
+        log.append(record(*args))
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("halvings", [solver.MAX_HALVINGS, 0])
+def test_one_stencil_gradient_per_state_and_per_hvp(monkeypatch, halvings):
+    # every evaluation at a state shares its stencil gradient: one for the
+    # start, one per line-search trial (each calls Fbar_diff once), one per
+    # Hessian-vector product, and one for the rounding floor of a solve
+    # that does not converge (no halvings allowed: the line search fails)
+    monkeypatch.setattr(solver, "MAX_HALVINGS", halvings)
+    cfg = _readme_problem("denoise", 16)
+    grads, trials, psi_mins = [], [], []
+    _counted(monkeypatch, solver, "discrete_gradient", grads)
+    _counted(monkeypatch, cfg.src, "Fbar_diff", trials)
+    _counted(monkeypatch, cfg.fam, "psi", psi_mins, lambda s: float(np.min(s)))
+    res = minimize(cfg)
+    assert res.converged == (halvings > 0) and res.hvps > 0
+    assert len(grads) == 1 + len(trials) + res.hvps + (0 if res.converged else 1)
+    if res.converged:
+        # psi runs once per accepted state, for its residual; the Hessian
+        # reuses it unless a magnitude lies below the floor, which here
+        # only the constant start has
+        assert res.iterations == 7 and len(trials) > res.iterations
+        assert psi_mins[:2] == [0.0, solver.HESSIAN_FLOOR]
+        assert len(psi_mins) == 2 + res.iterations
+        assert min(psi_mins[2:]) > solver.HESSIAN_FLOOR
+
+
 @pytest.mark.parametrize("command", ["solve", "denoise"])
 def test_hvps_per_newton_step_do_not_grow_with_the_grid(command):
     per_step = {}

@@ -67,3 +67,61 @@ def grid_1d(n=64, extent=1.0):
 
 def grid_2d(n=8, extent=1.0):
     return build_grid(2, n, extent)
+
+
+# Reference formulations of the stencil pair and the DCT pair: each axis is
+# moved to the front (stencil) or to the back (DCT) with np.moveaxis and
+# worked on there.  The package's kernels must return the same bits.
+
+def ref_discrete_gradient(u, grid):
+    vals = np.asarray(u, dtype=float).reshape(grid.n)
+    grads = np.empty((grid.npoints, grid.dim))
+    for axis, h in enumerate(grid.h):
+        v = np.moveaxis(vals, axis, 0)
+        g = np.empty_like(v)
+        g[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        g[0] = (v[1] - v[0]) / (2.0 * h)
+        g[-1] = (v[-1] - v[-2]) / (2.0 * h)
+        grads[:, axis] = np.moveaxis(g, 0, axis).ravel()
+    return grads
+
+
+def ref_stencil_adjoint(flux, grid):
+    out = np.zeros(grid.n)
+    for axis, h in enumerate(grid.h):
+        v = np.moveaxis(flux[:, axis].reshape(grid.n), axis, 0)
+        r = np.zeros_like(v)
+        w = 1.0 / (2.0 * h)
+        r[2:] += v[1:-1] * w
+        r[:-2] -= v[1:-1] * w
+        r[1] += v[0] * w
+        r[0] -= v[0] * w
+        r[-1] += v[-1] * w
+        r[-2] -= v[-1] * w
+        out += np.moveaxis(r, 0, axis)
+    return out.ravel()
+
+
+def _ref_twiddle(n):
+    w = np.sqrt(2.0 / n) * np.exp(-0.5j * np.pi * np.arange(n) / n)
+    w[0] /= np.sqrt(2.0)
+    return w
+
+
+def ref_dct(x):
+    for axis in range(x.ndim):
+        v = np.moveaxis(x, axis, -1)
+        n = v.shape[-1]
+        spec = np.fft.rfft(np.concatenate([v, v[..., ::-1]], axis=-1))[..., :n]
+        x = np.moveaxis(0.5 * (spec * _ref_twiddle(n)).real, -1, axis)
+    return x
+
+
+def ref_idct(x):
+    for axis in range(x.ndim):
+        v = np.moveaxis(x, axis, -1)
+        n = v.shape[-1]
+        spec = v * _ref_twiddle(n).conj()
+        spec[..., 0] *= 2.0
+        x = np.moveaxis(n * np.fft.irfft(spec, 2 * n)[..., :n], -1, axis)
+    return x
