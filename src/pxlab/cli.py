@@ -265,25 +265,23 @@ def _write_csv(path: Path, header, template: str, columns) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its results and whether every asserted check
+# passed; main writes them as <command>_report.json
 # ---------------------------------------------------------------------------
 
-def cmd_check_hypotheses(cfg: dict, outdir: Path, seed: int) -> int:
+def cmd_check_hypotheses(cfg: dict, outdir: Path, seed: int) -> tuple:
     grid, fam, src = _build_problem(cfg)
     rep, ok = hyp.gate(fam, src, grid, seed)
     homog = check_homogeneity(fam, seed=seed)
-    results = {
+    return {
         "hypotheses": rep.to_jsonable(),
         "homogeneity": homog,
         "flags": {"strict_ratio": fam.strict_flag, "homogeneous": fam.homogeneous_flag,
                   "strict_source_ratio": src.strict13_flag},
-    }
-    ok = ok and homog["agree"]
-    _write_report(outdir, "check-hypotheses", cfg, results, ok)
-    return 0 if ok else 1
+    }, ok and homog["agree"]
 
 
-def cmd_inequality(cfg: dict, outdir: Path, seed: int) -> int:
+def cmd_inequality(cfg: dict, outdir: Path, seed: int) -> tuple:
     try:
         trials = int(cfg.get("trials", 100_000))
     except (TypeError, ValueError) as e:
@@ -294,12 +292,10 @@ def cmd_inequality(cfg: dict, outdir: Path, seed: int) -> int:
     subunit = ineq.fuzz_subunit_gaps(trials, seed)
     ok = (scalar["min_scaled_gap"] >= -1e-12
           and subunit["min_gap1"] >= -1e-12 and subunit["min_gap2"] >= -1e-12)
-    _write_report(outdir, "inequality", cfg,
-                  {"scalar": scalar, "subunit": subunit}, ok)
-    return 0 if ok else 1
+    return {"scalar": scalar, "subunit": subunit}, ok
 
 
-def cmd_path_scan(cfg: dict, outdir: Path, seed: int) -> int:
+def cmd_path_scan(cfg: dict, outdir: Path, seed: int) -> tuple:
     grid, fam, src = _build_problem(cfg)
     fields = _section(cfg, "fields")
     w1 = _field_jet(fields.get("w1"), grid)
@@ -314,20 +310,17 @@ def cmd_path_scan(cfg: dict, outdir: Path, seed: int) -> int:
                "%.17g,%.17g,%.17g,%.17g\n",
                (scan.thetas, scan.beta, scan.beta_prime, scan.cor64_gap))
     on_unit = (scan.thetas >= 0.0) & (scan.thetas <= 1.0)
-    ok = (scan.min_beta_prime_step >= -1e-10
-          and scan.fd_max_rel_err <= 1e-6
-          and float(scan.cor64_gap[on_unit].min()) >= -1e-10
-          and (scan.strict_gap_ok is not False))
-    results = {
+    cor64_min = float(scan.cor64_gap[on_unit].min())
+    ok = (scan.min_beta_prime_step >= -1e-10 and scan.fd_max_rel_err <= 1e-6
+          and cor64_min >= -1e-10 and scan.strict_gap_ok is not False)
+    return {
         "M": ctx.M, "theta0": ctx.theta0,
         "min_beta_prime_step": scan.min_beta_prime_step,
         "fd_max_rel_err": scan.fd_max_rel_err,
-        "cor64_min_gap_on_unit": float(scan.cor64_gap[on_unit].min()),
+        "cor64_min_gap_on_unit": cor64_min,
         "strict_gap_ok": scan.strict_gap_ok,
         "csv": "path_scan.csv",
-    }
-    _write_report(outdir, "path-scan", cfg, results, ok)
-    return 0 if ok else 1
+    }, ok
 
 
 def _solve_pipeline(cfg: dict, seed: int):
@@ -360,7 +353,7 @@ def _solve_results(gate, gate_ok: bool, result) -> dict:
     }
 
 
-def cmd_solve(cfg: dict, outdir: Path, seed: int) -> int:
+def cmd_solve(cfg: dict, outdir: Path, seed: int) -> tuple:
     grid, fam, src, scfg, gate, gate_ok = _solve_pipeline(cfg, seed)
     result = minimize(scfg)
     ver = verify_weak_solution(fam, src, result.U, grid, seed=seed,
@@ -379,18 +372,15 @@ def cmd_solve(cfg: dict, outdir: Path, seed: int) -> int:
         if result.in_unit_box:
             # in_unit_box admits rounding just outside [0, 1]; pixels may not
             write_pgm(np.clip(U, 0.0, 1.0), outdir / "solution.pgm")
-    results = _solve_results(gate, gate_ok, result) | {
+    return _solve_results(gate, gate_ok, result) | {
         "energy": result.energy,
         "strongly_positive": result.strongly_positive,
         "weak_form_defect": ver,
         "csv": "solution.csv",
-    }
-    ok = gate_ok and result.converged and ver["passed"]
-    _write_report(outdir, "solve", cfg, results, ok)
-    return 0 if ok else 1
+    }, gate_ok and result.converged and ver["passed"]
 
 
-def cmd_uniqueness(cfg: dict, outdir: Path, seed: int) -> int:
+def cmd_uniqueness(cfg: dict, outdir: Path, seed: int) -> tuple:
     try:
         inits = [float(v) for v in cfg.get("inits", [0.2, 0.9])]
     except (TypeError, ValueError) as e:
@@ -402,12 +392,10 @@ def cmd_uniqueness(cfg: dict, outdir: Path, seed: int) -> int:
     grid, fam, src, scfg, gate, gate_ok = _solve_pipeline(cfg, seed)
     report = uniqueness_experiment(scfg, inits)
     ok = gate_ok and report.get("uniqueness_ok", True)
-    results = {"gate_ok": gate_ok, "experiment": report}
-    _write_report(outdir, "uniqueness", cfg, results, ok)
-    return 0 if ok else 1
+    return {"gate_ok": gate_ok, "experiment": report}, ok
 
 
-def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
+def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> tuple:
     d = _section(cfg, "denoise")
     inp = d.get("input", "synthetic")
     try:
@@ -438,14 +426,11 @@ def cmd_denoise(cfg: dict, outdir: Path, seed: int) -> int:
     if out_ok:
         # in_unit_box admits rounding just outside [0, 1]; pixels may not
         write_pgm(np.clip(U, 0.0, 1.0), outdir / "denoised.pgm")
-    results = _solve_results(gate, gate_ok, result) | {
+    return _solve_results(gate, gate_ok, result) | {
         "tv_input": _total_variation(img, grid),
         "tv_output": _total_variation(U, grid),
         "output": "denoised.pgm" if out_ok else None,
-    }
-    ok = gate_ok and out_ok
-    _write_report(outdir, "denoise", cfg, results, ok)
-    return 0 if ok else 1
+    }, gate_ok and out_ok
 
 
 def _total_variation(vals: np.ndarray, grid: Grid) -> float:
@@ -458,7 +443,7 @@ def _total_variation(vals: np.ndarray, grid: Grid) -> float:
     return tv
 
 
-def cmd_fixtures(cfg: dict, outdir: Path, seed: int) -> int:
+def cmd_fixtures(cfg: dict, outdir: Path, seed: int) -> tuple:
     name = cfg.get("name", "ex51")
     try:
         n = int(cfg.get("n", 64))
@@ -469,8 +454,7 @@ def cmd_fixtures(cfg: dict, outdir: Path, seed: int) -> int:
         report = ineq.fixture_counterexample(name, grid)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    _write_report(outdir, "fixtures", cfg, report, report["passed"])
-    return 0 if report["passed"] else 1
+    return report, report["passed"]
 
 
 COMMANDS = {
@@ -530,7 +514,7 @@ def main(argv=None) -> int:
             cfg["alpha"] = float(cfg.get("alpha", 1.5))
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad alpha: {e}") from e
-        code = COMMANDS[args.command](cfg, outdir, seed)
+        results, ok = COMMANDS[args.command](cfg, outdir, seed)
     except ConfigError as e:
         err = {"error": str(e), "command": args.command}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
@@ -540,9 +524,9 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 2
-    print(f"{args.command}: {'ok' if code == 0 else 'FAILED'} "
-          f"(report in {outdir})")
-    return code
+    _write_report(outdir, args.command, cfg, results, ok)
+    print(f"{args.command}: {'ok' if ok else 'FAILED'} (report in {outdir})")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

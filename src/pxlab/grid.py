@@ -17,6 +17,9 @@ gradient writes each axis's differences into its ``(*n, dim)`` output in
 place, and the adjoint accumulates into its result, so neither copies an
 axis.  Each node sums its terms in one fixed order, which the tests pin
 bit for bit against ``np.moveaxis`` formulations.
+
+Operator and source families derive from :class:`PointFamily`, which
+defines the batch convention of their evaluations.
 """
 
 from __future__ import annotations
@@ -218,41 +221,67 @@ def _certified_row_sums(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def row_blocks(nrows: int, width):
-    """Slices of consecutive rows covering ``range(nrows)``, in order.
+def row_blocks(nrows: int, width: int):
+    """Slices of consecutive rows covering ``range(nrows)``, in order, for
+    rows of ``width`` elements.  Each block holds at most BLOCK_ELEMENTS
+    elements, or one row when a row alone is wider."""
+    step = max(1, BLOCK_ELEMENTS // int(width))
+    for lo in range(0, nrows, step):
+        yield slice(lo, min(lo + step, nrows))
 
-    ``width`` is the number of elements of a row, one int for every row or
-    an array of per-row counts.  Each block holds at most BLOCK_ELEMENTS
-    elements, or one row when that row alone is wider.
+
+def per_point(value, npoints: int, what: str) -> np.ndarray:
+    """``value`` as one finite float per point: a scalar gives ``npoints``
+    copies, and an array must have shape (npoints,)."""
+    vals = np.asarray(value, dtype=float)
+    if vals.ndim == 0:
+        vals = np.full(npoints, float(vals))
+    if vals.shape != (npoints,):
+        raise ValueError(f"{what} needs shape ({npoints},), got {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{what} must be finite")
+    return vals
+
+
+class PointFamily:
+    """A family of functions of s sampled at ``npoints`` quadrature points,
+    such as an operator profile or a source, whose values at a point depend
+    on the point only through the tuple of its per-point arrays ``params``.
+
+    Every evaluation is a batch: per-point values s paired with point
+    indices ``points`` (all points in order when omitted, which also takes
+    stacked rows of shape (..., npoints)).  The two broadcast together;
+    each per-point parameter is gathered at the index's own shape and
+    spread over the result by broadcasting, so a (rows, k) batch on a (k,)
+    or (rows, 1) index gathers k or rows values, not rows * k, with the
+    same bits.
     """
-    if np.isscalar(width):
-        step = max(1, BLOCK_ELEMENTS // int(width))
-        for lo in range(0, nrows, step):
-            yield slice(lo, min(lo + step, nrows))
-        return
-    ends = np.cumsum(width)
-    lo = 0
-    while lo < nrows:
-        limit = ends[lo] - width[lo] + BLOCK_ELEMENTS
-        hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
-        yield slice(lo, hi)
-        lo = hi
 
+    def __init__(self, npoints, params):
+        self.npoints = int(npoints)
+        self.params = tuple(params)
 
-def representatives(params) -> np.ndarray:
-    """The first point of each distinct row of ``params``, in point order.
+    def _align(self, s, points):
+        """``s`` broadcast to the batch shape, and the point index at its own
+        shape, which broadcasts against it."""
+        s = np.asarray(s, dtype=float)
+        idx = np.arange(self.npoints) if points is None else np.asarray(points)
+        return np.broadcast_to(s, np.broadcast_shapes(s.shape, idx.shape)), idx
 
-    ``params`` is a sequence of per-point arrays, the columns of the rows.
-    Rows are compared by their bits, so points share a representative only
-    when they hold the same tuple exactly.  One stable lexsort and a compare
-    of adjacent sorted rows; ``np.unique(..., axis=0)`` costs several times
-    more on data whose rows are all distinct.
-    """
-    keys = np.column_stack(params).astype(float, copy=False).view(np.uint64)
-    order = np.lexsort(keys.T)  # stable: equal rows stay in point order
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
-    return np.sort(order[first])
+    def gate_points(self) -> np.ndarray:
+        """The points whose checks decide the checks at every point, sorted.
+
+        The hypothesis validators read the family only at these points, and
+        a witness names one of them: the first point of each distinct tuple
+        of ``params``, compared by bits, stands for all of its points.  One
+        stable lexsort and a compare of adjacent rows cost several times
+        less than ``np.unique(..., axis=0)`` on all-distinct tuples.
+        """
+        keys = np.column_stack(self.params).astype(float, copy=False).view(np.uint64)
+        order = np.lexsort(keys.T)  # stable: equal rows stay in point order
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+        return np.sort(order[first])
 
 
 def discrete_gradient(u, grid: Grid) -> np.ndarray:

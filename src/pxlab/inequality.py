@@ -69,12 +69,19 @@ def scalar_gap(phi, r: float, a: float, b: float, c: float, d: float) -> ScalarI
     if abs(phi(0.0)) > 1e-300:
         raise ValueError("phi(0) must vanish")
     pc, pd = float(phi(c)), float(phi(d))
-    lhs = (1.0 + (r - 1.0) * (a / b) ** r) * pc * c \
-        + (1.0 + (r - 1.0) * (b / a) ** r) * pd * d
-    rhs = r * (a / b) ** (r - 1.0) * pc * d + r * (b / a) ** (r - 1.0) * pd * c
+    lhs, rhs = _sides(r, a, b, pc, pd, c, d)
     gap = lhs - rhs
     cls = _classify(a, b, c, d, r, pc, pd, lhs, gap)
     return ScalarIneqCase(a, b, c, d, r, lhs, rhs, gap, cls)
+
+
+def _sides(r, a, b, pc, pd, c, d):
+    """The two sides of the scalar inequality, with pc = phi(c) and
+    pd = phi(d); scalars or arrays."""
+    lhs = (1.0 + (r - 1.0) * (a / b) ** r) * pc * c \
+        + (1.0 + (r - 1.0) * (b / a) ** r) * pd * d
+    rhs = r * (a / b) ** (r - 1.0) * pc * d + r * (b / a) ** (r - 1.0) * pd * c
+    return lhs, rhs
 
 
 def _classify(a, b, c, d, r, pc, pd, lhs, gap) -> str:
@@ -127,9 +134,7 @@ def fuzz_scalar_gaps(trials: int, seed: int) -> dict:
     pc = np.concatenate([phi_c1, phi_c2])
     pd = np.concatenate([phi_d1, phi_d2])
 
-    lhs = (1.0 + (r - 1.0) * (a / b) ** r) * pc * c \
-        + (1.0 + (r - 1.0) * (b / a) ** r) * pd * d
-    rhs = r * (a / b) ** (r - 1.0) * pc * d + r * (b / a) ** (r - 1.0) * pd * c
+    lhs, rhs = _sides(r, a, b, pc, pd, c, d)
     scaled = (lhs - rhs) / np.maximum(1.0, np.abs(lhs))
     k = int(np.argmin(scaled))
     return {
@@ -185,10 +190,9 @@ def pointwise_gap_parts(fam: OperatorFamily, r: float,
     dot = np.sum(w1.grads * w2.grads, axis=1)
     phi1 = fam.phi(c)
     phi2 = fam.phi(d)
+    lhs, mid = _sides(r, v2, v1, phi1, phi2, c, d)
     t21 = v2 / v1
     t12 = v1 / v2
-    lhs = (1.0 + (r - 1.0) * t21**r) * phi1 * c + (1.0 + (r - 1.0) * t12**r) * phi2 * d
-    mid = r * t21 ** (r - 1.0) * phi1 * d + r * t12 ** (r - 1.0) * phi2 * c
     psi1 = np.divide(phi1, c, out=np.zeros_like(c), where=c > 0.0)
     psi2 = np.divide(phi2, d, out=np.zeros_like(d), where=d > 0.0)
     cauchy = r * (t21 ** (r - 1.0) * psi1 + t12 ** (r - 1.0) * psi2) * (c * d - dot)

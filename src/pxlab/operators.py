@@ -10,7 +10,9 @@ Two built-in families:
   ulp by a power series summed by Horner's rule next to s = 0, and by
   Gauss-Legendre panels in ln s from a prefix-sum table everywhere else.
 
-All evaluations are pure; a family is immutable after construction.
+A family is a :class:`grid.PointFamily`, which defines the batch
+convention of every evaluation.  All evaluations are pure; a family is
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, representatives, row_blocks
+from .grid import Grid, PointFamily, per_point, row_blocks
 
 
 @dataclass(frozen=True)
@@ -49,30 +51,15 @@ class ExponentField:
 def exponent_field(grid: Grid, spec) -> ExponentField:
     """Build an exponent field on the grid's quadrature points from a
     constant or an array of one value per point."""
-    npts = grid.npoints
-    if np.isscalar(spec):
-        vals = np.full(npts, float(spec))
-    else:
-        vals = np.asarray(spec, dtype=float)
-    if vals.shape != (npts,):
-        raise ValueError(f"exponent field needs shape ({npts},), got {vals.shape}")
-    return ExponentField(values=vals)
+    return ExponentField(values=per_point(spec, grid.npoints, "exponent field"))
 
 
-class OperatorFamily:
-    """The triple (Psi, Phi, A) of an isotropic flux, sampled per quadrature point.
-
-    Every evaluation is a batch: per-point values s (or t) paired with
-    point indices ``points`` (all points in order when omitted, which also
-    takes stacked rows of shape (..., npoints)).  The two broadcast
-    together; each per-point parameter is gathered at the index's own shape
-    and spread over the result by broadcasting, so a (rows, k) batch on a
-    (k,) or (rows, 1) index gathers k or rows values, not rows * k.
+class OperatorFamily(PointFamily):
+    """The triple (Psi, Phi, A) of an isotropic flux, sampled per quadrature
+    point; every evaluation is a batch as :class:`grid.PointFamily` defines.
 
     Attributes
     ----------
-    npoints : int
-        Number of quadrature points, the length of the exponent field.
     r_order : float
         Order r for which the profile ratio Phi(x, s)/s^(r-1) is certified
         monotone (strictly when ``strict_flag``).
@@ -88,19 +75,11 @@ class OperatorFamily:
     """
 
     def __init__(self, r_order, strict_flag, homogeneous_flag, exponent, params):
-        self.npoints = exponent.values.shape[0]
+        super().__init__(exponent.values.shape[0], params)
         self.r_order = float(r_order)
         self.strict_flag = bool(strict_flag)
         self.homogeneous_flag = bool(homogeneous_flag)
         self.exponent = exponent
-        self.params = tuple(params)
-
-    def _align(self, s, points):
-        """``s`` broadcast to the batch shape, and the point index at its own
-        shape, which broadcasts against it."""
-        s = np.asarray(s, dtype=float)
-        idx = np.arange(self.npoints) if points is None else np.asarray(points)
-        return np.broadcast_to(s, np.broadcast_shapes(s.shape, idx.shape)), idx
 
     # -- radial profile ------------------------------------------------
 
@@ -138,16 +117,6 @@ class OperatorFamily:
         return self._A(t, idx)
 
     # -- subclass hooks --------------------------------------------------
-
-    def gate_points(self) -> np.ndarray:
-        """The points whose checks decide the checks at every point, sorted.
-
-        The hypothesis validators read the profile only at these points, and
-        a witness names one of them.  Two points with the same tuple of
-        ``params`` give the same values at every s, so the first point of
-        each distinct tuple stands for all of its points.
-        """
-        return representatives(self.params)
 
     def _phi(self, s, idx):
         raise NotImplementedError
@@ -321,17 +290,9 @@ def make_multiphase(exponents, weights, alpha: float | None = None,
     exponents = list(exponents)
     if not exponents:
         raise ValueError("need at least one phase")
-    npts = exponents[0].values.shape[0]
-    warr = []
-    for w in weights:
-        w = np.full(npts, float(w)) if np.isscalar(w) else np.asarray(w, dtype=float)
-        if w.shape != (npts,):
-            raise ValueError("weights must match the exponent sampling")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if w.min() <= 0.0:
-            raise ValueError("weights must be bounded below by a positive constant")
-        warr.append(w)
+    warr = [per_point(w, exponents[0].values.shape[0], "weight") for w in weights]
+    if any(w.min() <= 0.0 for w in warr):
+        raise ValueError("weights must be bounded below by a positive constant")
     if len(warr) != len(exponents):
         raise ValueError("one weight per exponent required")
     p_lower = min(p.p_minus for p in exponents)

@@ -118,16 +118,13 @@ def discrete_energy(fam: OperatorFamily, src: SourceFamily, U, grid: Grid) -> fl
 class _State:
     """Nodal values ``u`` (flat) with their stencil gradient ``xi`` = D u and
     its magnitudes ``s``, evaluated once for every use at u.  The residual
-    stores ``psi`` = psi(s) on the state for the Hessian to reuse, and
-    ``symbol`` is the stencil symbol (:func:`grid.stencil_symbol`) of the
-    solve the state belongs to, None outside a solve."""
+    stores ``psi`` = psi(s) on the state for the Hessian to reuse."""
 
-    def __init__(self, u, grid: Grid, symbol=None):
+    def __init__(self, u, grid: Grid):
         self.u = u
         self.xi = discrete_gradient(u, grid)
         self.s = np.linalg.norm(self.xi, axis=1)
         self.psi = None
-        self.symbol = symbol
 
 
 def discrete_residual(fam: OperatorFamily, src: SourceFamily, U, grid: Grid) -> np.ndarray:
@@ -169,14 +166,16 @@ def discrete_hessian(fam: OperatorFamily, src: SourceFamily, U, grid: Grid):
     c D^T D so that M stays positive definite when the source vanishes or
     the concave extension makes the diagonal negative.  The DCT-II
     diagonalizes D^T D (:func:`grid.stencil_symbol`), so M^{-1} costs two
-    transforms.  Vectors are flat arrays over the grid's nodes.
-
-    U is a nodal array (flat or node-shaped), or the evaluated state of a
-    solve (:func:`minimize`), whose stencil gradient, magnitudes and symbol
-    are then reused, and psi(|D U|) too when no magnitude lies below the
-    floor.
+    transforms.  Vectors are flat arrays over the grid's nodes, and U is
+    flat or node-shaped.
     """
-    st = U if isinstance(U, _State) else _State(np.ravel(U), grid, stencil_symbol(grid))
+    return _hessian(fam, src, _State(np.ravel(U), grid), stencil_symbol(grid), grid)
+
+
+def _hessian(fam: OperatorFamily, src: SourceFamily, st: _State, symbol, grid: Grid):
+    """:func:`discrete_hessian` at an evaluated state, given the stencil
+    symbol; psi(|D u|) stored on the state is reused when no magnitude
+    lies below the floor."""
     xi, s = st.xi, st.s
     if st.psi is not None and s.min() >= HESSIAN_FLOOR:
         sf, psi = s, st.psi
@@ -195,7 +194,6 @@ def discrete_hessian(fam: OperatorFamily, src: SourceFamily, U, grid: Grid):
         flux = np.matmul(jac, discrete_gradient(v, grid)[:, :, None])[:, :, 0]
         return stencil_adjoint(flux, grid) + diag * v.ravel()
 
-    symbol = st.symbol
     c = float(np.mean(np.trace(jac, axis1=1, axis2=2))) / grid.dim
     # mean(diag) is H's exact curvature along the constants (D 1 = 0); the
     # floor caps M's condition number at 1/sqrt(eps)
@@ -272,9 +270,9 @@ def minimize(cfg: SolveConfig) -> SolveResult:
     Each state is evaluated once: a line-search trial computes its stencil
     gradient D V and magnitudes |D V| (for A), and the accepted trial's
     gradient, magnitudes and psi(|D V|) serve its residual and the next
-    Hessian (:func:`discrete_hessian` evaluates psi again, at the floored
-    magnitudes, only when one lies below ``HESSIAN_FLOOR``).  The stencil
-    symbol of the preconditioner is computed once per solve.
+    Hessian (which evaluates psi again, at the floored magnitudes, only
+    when one lies below ``HESSIAN_FLOOR``).  The stencil symbol of the
+    preconditioner is computed once per solve.
     """
     grid = cfg.grid
     if np.isscalar(cfg.init):
@@ -291,7 +289,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
     # discrete_energy(u), given A at u's stencil gradients
     energy = lambda A_u, u: integrate(A_u, grid) - integrate(src.Fbar_vals(u), grid)
 
-    state = _State(U, grid, symbol)
+    state = _State(U, grid)
     A_U = fam.A_batch(state.s)  # A at the stencil gradients of the current state
     E = energy(A_U, U)
     history = [E]
@@ -313,7 +311,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         eta = ETA_MAX if gnorm_prev is None else min(ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
         # no need to solve the linear model beyond half the tolerance
         eta = max(eta, 0.5 * cfg.residual_tol * float(grid.quad_weights.min()) / gnorm)
-        hvp, precond = discrete_hessian(fam, src, state, grid)
+        hvp, precond = _hessian(fam, src, state, symbol, grid)
         d, spent = _truncated_cg(hvp, precond, g, eta)
         hvps += spent
         if not np.all(np.isfinite(d)):
@@ -327,7 +325,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         slope = float(g @ d)
         t = 1.0
         for _ in range(MAX_HALVINGS):
-            trial = _State(U + t * d, grid, symbol)
+            trial = _State(U + t * d, grid)
             A_V = fam.A_batch(trial.s)
             dE = integrate(A_V - A_U, grid) - integrate(src.Fbar_diff(U, trial.u), grid)
             if dE <= SUFFICIENT_DECREASE * t * slope:

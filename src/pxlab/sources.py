@@ -3,7 +3,9 @@
 The extension (fbar, Fbar) prolongs a source beyond [0, 1] so that the
 unconstrained energy minimization is equivalent to the box-constrained
 problem: fbar decays linearly with slope gamma outside the unit interval
-and Fbar is its C^1 antiderivative with Fbar(x, 0) = 0.
+and Fbar is its C^1 antiderivative with Fbar(x, 0) = 0.  A source is a
+:class:`grid.PointFamily`, which defines the batch convention of every
+evaluation.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ import math
 
 import numpy as np
 
-from .grid import representatives
+from .grid import PointFamily, per_point
 
 
-class SourceFamily:
+class SourceFamily(PointFamily):
     """Per-quadrature-point source f(x, s) with primitive and extension.
 
     Attributes
@@ -42,12 +44,11 @@ class SourceFamily:
             raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
         if strict13_flag and alpha >= 2.0:
             raise ValueError("a strict ratio claim requires alpha < 2")
-        self.npoints = int(npoints)
+        super().__init__(npoints, params)
         self.gamma = float(gamma)
         self.lambda0 = self.gamma + 1.0
         self.alpha = float(alpha)
         self.strict13_flag = bool(strict13_flag)
-        self.params = tuple(params)
         # the extension's constants f(x, 0), f(x, 1) and F(x, 1), per point;
         # a subclass sets its own attributes before calling this
         idx = np.arange(self.npoints)
@@ -99,24 +100,6 @@ class SourceFamily:
         s, idx = self._align(s, points)
         inner = self._df(np.clip(s, 0.0, 1.0), idx)
         return np.where(s < 0.0, self.gamma, np.where(s <= 1.0, inner, -self.gamma))
-
-    def _align(self, s, points):
-        """``s`` broadcast to the batch shape, and the point index at its own
-        shape: each per-point parameter is gathered once per index entry and
-        spread over stacked rows by broadcasting, with the same bits."""
-        s = np.asarray(s, dtype=float)
-        idx = np.arange(self.npoints) if points is None else np.asarray(points)
-        return np.broadcast_to(s, np.broadcast_shapes(s.shape, idx.shape)), idx
-
-    def gate_points(self) -> np.ndarray:
-        """The points whose checks decide the checks at every point, sorted.
-
-        The hypothesis validators read the source only at these points, and
-        a witness names one of them.  Two points with the same tuple of
-        ``params`` give the same values at every s, so the first point of
-        each distinct tuple stands for all of its points.
-        """
-        return representatives(self.params)
 
     def _f(self, s, idx):
         raise NotImplementedError
@@ -192,7 +175,7 @@ class FidelitySource(SourceFamily):
         Fbar and the ratios built from them), so each check's worst step
         over the data lies at g_min or g_max; see :mod:`pxlab.hypotheses`.
         A subclass must keep f affine in g or override this method;
-        ``SourceFamily.gate_points`` gives the first point of each distinct g.
+        ``PointFamily.gate_points`` gives the first point of each distinct g.
         """
         # deduplicated by hand: np.unique imports numpy.ma, about 1 MB of RSS
         ends = np.sort([np.argmin(self.g), np.argmax(self.g)])
@@ -218,21 +201,12 @@ def make_power_source(r1, r2, q1, q2, npoints: int | None = None,
     gamma is the product bound max(r1) max(q1) + max(r2) max(q2) and
     lambda0 = gamma + 1.  Coefficients r may vanish; exponents q must be >= 1.
     """
-    arrs = []
-    for name, v in (("r1", r1), ("r2", r2), ("q1", q1), ("q2", q2)):
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 0:
-            if npoints is None:
-                raise ValueError("npoints required with scalar coefficients")
-            v = np.full(npoints, float(v))
-        arrs.append(v)
-    r1, r2, q1, q2 = arrs
+    coeffs = {"r1": r1, "r2": r2, "q1": q1, "q2": q2}
     if npoints is None:
-        npoints = r1.shape[0]
-    if any(a.shape != (npoints,) for a in arrs):
-        raise ValueError("coefficient arrays must share the point count")
-    if not all(np.all(np.isfinite(a)) for a in arrs):
-        raise ValueError("coefficients and exponents must be finite")
+        if min(np.ndim(v) for v in coeffs.values()) == 0:
+            raise ValueError("npoints required with scalar coefficients")
+        npoints = np.shape(r1)[0]
+    r1, r2, q1, q2 = (per_point(v, npoints, name) for name, v in coeffs.items())
     if r1.min() < 0.0 or r2.min() < 0.0:
         raise ValueError("coefficients r1, r2 must be nonnegative")
     if q1.min() < 1.0 or q2.min() < 1.0:

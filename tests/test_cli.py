@@ -451,6 +451,37 @@ def test_reports_reproducible_apart_from_timestamp(tmp_path):
         assert json.loads(outs[0])["config"]["seeds"]["main"] == 5
 
 
+_FIDELITY = _SMALL | {"source": {"kind": "fidelity", "g": 0.5}}
+
+# command, config and exit code of a tiny run of every command, and of two
+# runs that fail a check
+REPORT_RUNS = {
+    "check-hypotheses": ("check-hypotheses", _SMALL, 0),
+    "inequality": ("inequality", {"trials": 200}, 0),
+    "path-scan": ("path-scan", _SMALL | {"fields": _FIELDS}, 0),
+    "solve": ("solve", _FIDELITY | {"init": 0.3}, 0),
+    "solve-out-of-iterations": (
+        "solve", _FIDELITY | {"init": 0.3, "solver": {"max_iters": 0}}, 1),
+    "uniqueness": ("uniqueness", _FIDELITY, 0),
+    "denoise": ("denoise", {"denoise": {"n": 6}}, 0),
+    "denoise-out-of-iterations": ("denoise", {"denoise": {"n": 6},
+                                              "solver": {"max_iters": 0}}, 1),
+    "fixtures": ("fixtures", {"n": 16}, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_RUNS))
+def test_every_command_writes_one_report_that_matches_its_exit_code(tmp_path, case):
+    command, config, expected = REPORT_RUNS[case]
+    out = tmp_path / "out"
+    code = main([command, "--config", _write_cfg(tmp_path, "cfg.json", config),
+                 "--output", str(out)])
+    assert code == expected
+    assert [p.name for p in out.glob("*.json")] == [f"{command}_report.json"]
+    rep = json.loads((out / f"{command}_report.json").read_text())
+    assert rep["command"] == command and rep["passed"] == (code == 0)
+
+
 def test_denoise_large_mu_tracks_input(tmp_path):
     # dominant fidelity pins the output to the data on smooth inputs
     n = 12

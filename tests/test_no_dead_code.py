@@ -1,7 +1,9 @@
 """Dead-code guard: every import of a pxlab module is used in it, every
-private module-level name is read somewhere in the package, and no private
-name is imported from another module.  A read is a name or attribute in a
-Load context; definitions, assignments and imports do not count."""
+private module-level name is read somewhere in the package, every public
+module-level function and class is read there or exported from
+``pxlab/__init__.py``, and no private name is imported from another
+module.  A read is a name or attribute in a Load context; definitions,
+assignments and imports do not count."""
 
 import ast
 from pathlib import Path
@@ -66,3 +68,13 @@ def test_no_private_name_is_imported_from_another_module(path):
                 if isinstance(node, ast.ImportFrom) and node.level > 0
                 for a in node.names if a.name.startswith("_")]
     assert crossing == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_public_function_and_class_is_read_or_exported(path):
+    public = {node.name for node in _tree(path).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    package_reads = set().union(*(_reads(_tree(p)) for p in PACKAGE.glob("*.py")))
+    exported = _imported(_tree(PACKAGE / "__init__.py"))
+    assert sorted(public - package_reads - exported) == []

@@ -329,7 +329,7 @@ def _readme_problem(command, n):
 
 def test_hvp_count_is_the_number_of_hessian_products(monkeypatch):
     calls = []
-    builder = solver.discrete_hessian
+    builder = solver._hessian
 
     def counting(*args):
         hvp, precond = builder(*args)
@@ -340,7 +340,7 @@ def test_hvp_count_is_the_number_of_hessian_products(monkeypatch):
 
         return counted, precond
 
-    monkeypatch.setattr(solver, "discrete_hessian", counting)
+    monkeypatch.setattr(solver, "_hessian", counting)
     res = minimize(_readme_problem("denoise", 12))
     assert res.converged and res.iterations > 0
     assert res.hvps == len(calls)
