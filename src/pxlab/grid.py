@@ -18,6 +18,12 @@ place, and the adjoint accumulates into its result, so neither copies an
 axis.  Each node sums its terms in one fixed order, which the tests pin
 bit for bit against ``np.moveaxis`` formulations.
 
+Per-point vectors (gradients, fluxes) keep their components on a
+trailing axis and are worked on one component at a time, so inner loops
+run over points: :func:`dot_components` sums as ``((0.0 + x0) + x1) + x2``,
+the order of ``np.sum(..., axis=-1)``, and :func:`scale_components`
+applies a per-point factor, with the bits of the whole-array forms.
+
 Operator and source families derive from :class:`PointFamily`, which
 defines the batch convention of their evaluations.
 """
@@ -109,7 +115,7 @@ class JetField:
         return self.values.shape[-1]
 
     def grad_norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.grads * self.grads, axis=-1))
+        return np.sqrt(dot_components(self.grads, self.grads))
 
 
 @dataclass(frozen=True)
@@ -228,6 +234,23 @@ def row_blocks(nrows: int, width: int):
     step = max(1, BLOCK_ELEMENTS // int(width))
     for lo in range(0, nrows, step):
         yield slice(lo, min(lo + step, nrows))
+
+
+def dot_components(a, b) -> np.ndarray:
+    """``np.sum(a * b, axis=-1)`` bit for bit, one component at a time."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    out += 0.0  # np.sum starts from +0.0: terms of -0.0 alone sum to +0.0
+    return out
+
+
+def scale_components(g, s, op=np.multiply) -> np.ndarray:
+    """``op(g, s[..., None])`` bit for bit, one component of g at a time."""
+    out = np.empty(np.broadcast_shapes(g.shape, np.shape(s) + (1,)))
+    for k in range(out.shape[-1]):
+        op(g[..., k], s, out=out[..., k])
+    return out
 
 
 def per_point(value, npoints: int, what: str) -> np.ndarray:
@@ -403,7 +426,7 @@ def alpha_root_jet(w: JetField, alpha: float) -> JetField:
     if np.any(w.values <= 0.0):
         raise ValueError("alpha-root jet needs a strictly positive field")
     root = w.values ** (1.0 / alpha)
-    grads = (1.0 / alpha) * (w.values ** (1.0 / alpha - 1.0))[..., None] * w.grads
+    grads = scale_components(w.grads, (1.0 / alpha) * w.values ** (1.0 / alpha - 1.0))
     return JetField(root, grads)
 
 
@@ -425,7 +448,7 @@ def sample_jet(spec: AnalyticFieldSpec, grid: Grid) -> JetField:
         k = np.broadcast_to(np.atleast_1d(np.asarray(p["k"], dtype=float)), (grid.dim,))
         scale = float(p.get("scale", 1.0))
         vals = scale * np.exp(x @ k)
-        return JetField(vals, vals[:, None] * k)
+        return JetField(vals, scale_components(k, vals))
     if spec.name == "quadratic-bump":
         base = float(p.get("base", 1.0))
         amp = float(p.get("amp", 1.0))
@@ -526,5 +549,5 @@ def _noisy_image(spec: AnalyticFieldSpec, grid: Grid, with_grads: bool):
         arg = x @ k + phases[m]
         vals += (amp / norm) * coeffs[m] * np.cos(arg)
         if with_grads:
-            grads += (-amp / norm) * coeffs[m] * np.sin(arg)[:, None] * k
+            grads += scale_components(k, (-amp / norm) * coeffs[m] * np.sin(arg))
     return vals, grads

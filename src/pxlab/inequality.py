@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AnalyticFieldSpec, Grid, JetField, integrate, sample_jet
+from .grid import (AnalyticFieldSpec, Grid, JetField, dot_components, integrate,
+                   sample_jet, scale_components)
 from .operators import OperatorFamily
 
 NO_EQUALITY = "no-equality"
@@ -187,7 +188,7 @@ def pointwise_gap_parts(fam: OperatorFamily, r: float,
         raise ValueError("fields must be positive at every point")
     c = w1.grad_norms()
     d = w2.grad_norms()
-    dot = np.sum(w1.grads * w2.grads, axis=1)
+    dot = dot_components(w1.grads, w2.grads)
     phi1 = fam.phi(c)
     phi2 = fam.phi(d)
     lhs, mid = _sides(r, v2, v1, phi1, phi2, c, d)
@@ -208,8 +209,8 @@ def integral_gap(fam: OperatorFamily, r: float, w1: JetField, w2: JetField,
     rp12 = ratio_power_jet(w2, w1, r)
     a1 = fam.a_batch(w1.grads)
     a2 = fam.a_batch(w2.grads)
-    lhs_i = np.sum(a1 * (w1.grads - rp21.grads), axis=1)
-    rhs_i = np.sum(a2 * (rp12.grads - w2.grads), axis=1)
+    lhs_i = dot_components(a1, w1.grads - rp21.grads)
+    rhs_i = dot_components(a2, rp12.grads - w2.grads)
     lhs = integrate(lhs_i, grid)
     rhs = integrate(rhs_i, grid)
     return IntegralGap(lhs=lhs, rhs=rhs, gap=lhs - rhs)
@@ -222,8 +223,8 @@ def ratio_power_jet(w1: JetField, w2: JetField, r: float) -> JetField:
         raise ValueError("fields must be positive at every point")
     t = v2 / v1
     vals = v2**r / v1 ** (r - 1.0)
-    grads = r * (t ** (r - 1.0))[:, None] * w2.grads \
-        - (r - 1.0) * (t**r)[:, None] * w1.grads
+    grads = scale_components(w2.grads, r * t ** (r - 1.0)) \
+        - scale_components(w1.grads, (r - 1.0) * t**r)
     return JetField(vals, grads)
 
 
@@ -233,7 +234,8 @@ def quotient_jet(w1: JetField, w2: JetField) -> JetField:
     if v1.min() <= 0.0:
         raise ValueError("the denominator field must be positive")
     vals = v2 / v1
-    grads = (v1[:, None] * w2.grads - v2[:, None] * w1.grads) / (v1**2)[:, None]
+    grads = scale_components(scale_components(w2.grads, v1) - scale_components(w1.grads, v2),
+                             v1**2, np.divide)
     return JetField(vals, grads)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, PointFamily, per_point, row_blocks
+from .grid import Grid, PointFamily, dot_components, per_point, row_blocks, scale_components
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,7 @@ class OperatorFamily(PointFamily):
 
     def a_batch(self, grads: np.ndarray) -> np.ndarray:
         """Flux a(x, grad) at every point; grads has shape (..., npoints, dim)."""
-        norms = np.sqrt(np.sum(grads * grads, axis=-1))
-        return self.psi(norms)[..., None] * grads
+        return scale_components(grads, self.psi(np.sqrt(dot_components(grads, grads))))
 
     def A_batch(self, t, points=None) -> np.ndarray:
         """A(x_i, t_i) for per-point upper limits t (finite, t >= 0)."""
@@ -182,12 +181,14 @@ class ImageFamily(OperatorFamily):
         self._tau0 = min(0.5, 1.0 / self.delta)
         ln_ratio = (-1.0) ** np.arange(_SERIES_TERMS) / np.arange(1.0, _SERIES_TERMS + 1)
         self._series = _series_power(ln_ratio, self.delta).reshape(-1, _HORNER_ORDER, 1)
-        # the series over [0, min(eps, tau0)], a value of p alone, per distinct p
-        # (sorted and deduplicated by hand: a bare np.unique imports numpy.ma)
+        # per distinct p, the series over [0, min(eps, tau0)] and the factor
+        # eps^(p - alpha) of the part above eps, values of p alone (sorted
+        # and deduplicated by hand: a bare np.unique imports numpy.ma)
         ps = np.sort(p.values)
         self._p_distinct = ps[np.append(True, ps[1:] != ps[:-1])]
         cap = np.full_like(self._p_distinct, min(self.eps, self._tau0))
         self._series_top = self._series_sum(cap, self._p_distinct)
+        self._tail_scale = self.eps ** (self._p_distinct - self.alpha)
 
     def _phi(self, s, idx):
         p = self.p.values[idx]
@@ -233,11 +234,10 @@ class ImageFamily(OperatorFamily):
         # depends on its exponent and index only, so each value depends only
         # on its own (t, p), whatever the batch.
         eps, delta, tau0 = self.eps, self.delta, self._tau0
-        # above eps the x-dependence factors out of the integral
-        alpha = np.array([self.alpha])
-        tail = eps ** (p - self.alpha) * _log_panels(eps, math.inf, t, alpha, 0, delta)
-        # [0, min(t, eps, tau0)] by the series, looked up from min(eps, tau0) on
         u = np.searchsorted(self._p_distinct, p)
+        # above eps the x-dependence factors out of the integral
+        tail = self._tail_scale[u] * _log_panels(eps, math.inf, t, np.array([self.alpha]), 0, delta)
+        # [0, min(t, eps, tau0)] by the series, looked up from min(eps, tau0) on
         out = self._series_top[u]
         low = t < min(eps, tau0)
         out[low] = self._series_sum(t[low], p[low])
@@ -386,20 +386,24 @@ def _log_panels(lo: float, hi: float, t, qs, u, delta: float) -> np.ndarray:
 def _gl_panels(start, width, q, delta: float) -> np.ndarray:
     """The 12-point Gauss-Legendre rule for the integral of e^(q_i v)
     ln^delta(1 + e^v) over [start_i, start_i + width_i], for each panel i,
-    a block of panels at a time so that memory stays bounded."""
+    a block of panels at a time so that memory stays bounded.  Nodes run
+    along the first axis, so every step loops over panels, and a panel's
+    terms are summed as ``np.add.reduceat`` sums them:
+    x0 + ((((x1 + x2) + (x3 + x4)) + ((x5 + x6) + (x7 + x8))) + x9 + x10 + x11)."""
     out = np.empty_like(start)
     for blk in row_blocks(start.size, _GL_NODES.size):
         # v = start + width node and f = e^(q v) ln^delta(1 + e^v) w, in place
-        v = width[blk, None] * _GL_NODES
-        v += start[blk, None]
-        f = q[blk, None] * v
+        v = _GL_NODES[:, None] * width[blk]
+        v += start[blk]
+        f = q[blk] * v
         np.exp(f, out=f)
         np.exp(v, out=v)
         np.log1p(v, out=v)
         v **= delta
         f *= v
-        f *= _GL_WEIGHTS
-        out[blk] = width[blk] * np.add.reduceat(f.ravel(), np.arange(0, f.size, _GL_NODES.size))
+        f *= _GL_WEIGHTS[:, None]
+        x = f[1:9:2] + f[2:9:2]  # x1 + x2, x3 + x4, x5 + x6, x7 + x8
+        out[blk] = width[blk] * (f[0] + ((x[0] + x[1]) + (x[2] + x[3]) + f[9] + f[10] + f[11]))
     return out
 
 

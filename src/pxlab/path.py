@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, JetField, alpha_root_jet, integrate, jet_linear, row_blocks
+from .grid import (Grid, JetField, alpha_root_jet, dot_components, integrate, jet_linear,
+                   row_blocks, scale_components)
 from .operators import OperatorFamily
 from .sources import SourceFamily
 
@@ -86,12 +87,17 @@ def path_jets(ctx: PathContext, theta) -> tuple:
     A scalar theta gives fields of shape (npoints,); an array of shape
     (rows,) gives one stacked row per theta.
     """
+    w_theta = _segment_jet(ctx, theta)
+    return w_theta, _gamma(ctx, w_theta.values, w_theta.grads)
+
+
+def _segment_jet(ctx: PathContext, theta) -> JetField:
+    """w_theta, with the checks of :func:`path_jets`."""
     theta = np.asarray(theta, dtype=float)
     outside = ~((ctx.theta_lo < theta) & (theta < ctx.theta_hi))
     if np.any(outside):
         bad = theta.ravel()[np.argmax(outside.ravel())]
         raise ValueError(f"theta={bad} outside ({ctx.theta_lo}, {ctx.theta_hi})")
-    alpha = ctx.alpha
     w_theta = jet_linear(theta, ctx.w1, 1.0 - theta, ctx.w2)
     v = w_theta.values
     vmin = np.minimum(ctx.w1.values, ctx.w2.values)
@@ -104,20 +110,29 @@ def path_jets(ctx: PathContext, theta) -> tuple:
         if ratio.min() < 2.0 / (3.0 * ctx.M) * (1.0 - BOUND_SLACK) \
                 or ratio.max() > 2.0 * ctx.M * (1.0 + BOUND_SLACK):
             raise RuntimeError("ratio bound violated; fields are inconsistent")
+    return w_theta
 
+
+def _gamma(ctx: PathContext, v, grads) -> JetField:
+    """gamma_theta from the values v and gradients of w_theta, row by row."""
+    alpha = ctx.alpha
     diff_v = ctx.w1.values - ctx.w2.values
-    diff_g = ctx.w1.grads - ctx.w2.grads
     gamma_v = (1.0 / alpha) * diff_v / v ** ((alpha - 1.0) / alpha)
-    gamma_g = (1.0 / alpha) * diff_g / (v ** (1.0 - 1.0 / alpha))[..., None] \
-        + (1.0 / alpha) * (1.0 / alpha - 1.0) \
-        * (diff_v / v ** (2.0 - 1.0 / alpha))[..., None] * w_theta.grads
-    return w_theta, JetField(gamma_v, gamma_g)
+    gamma_g = scale_components(grads, (1.0 / alpha) * (1.0 / alpha - 1.0)
+                               * (diff_v / v ** (2.0 - 1.0 / alpha)))
+    gamma_g += scale_components((1.0 / alpha) * (ctx.w1.grads - ctx.w2.grads),
+                                v ** (1.0 - 1.0 / alpha), np.divide)
+    return JetField(gamma_v, gamma_g)
 
 
 def energy_J(fam: OperatorFamily, src: SourceFamily, w: JetField, grid: Grid):
     """J(w): the energy of the alpha-root field u = w^(1/alpha); one value
     per row for a stacked w."""
-    u = alpha_root_jet(w, src.alpha)
+    return _root_energy(fam, src, alpha_root_jet(w, src.alpha), grid)
+
+
+def _root_energy(fam: OperatorFamily, src: SourceFamily, u: JetField, grid: Grid):
+    """J from the alpha-root field u itself."""
     grad_term = integrate(fam.A_batch(u.grad_norms()), grid)
     source_term = integrate(src.Fbar_vals(u.values), grid)
     return grad_term - source_term
@@ -147,7 +162,7 @@ def beta_scan(ctx: PathContext, fam: OperatorFamily, src: SourceFamily,
     """
     if abs(fam.r_order - ctx.alpha) > 1e-12:
         raise ValueError("operator ratio order must be certified at r = alpha")
-    if abs(src.alpha - ctx.alpha) > 1e-12:
+    if src.alpha != ctx.alpha:  # J and beta' share one alpha-root jet
         raise ValueError("source alpha must match the path alpha")
     thetas = default_thetas(ctx)
 
@@ -166,14 +181,15 @@ def beta_scan(ctx: PathContext, fam: OperatorFamily, src: SourceFamily,
     bprime = np.empty(n)
     for blk in row_blocks(rows.size, grid.npoints):
         lo = blk.start
-        w_t, gamma = path_jets(ctx, rows[blk])
-        values[blk] = energy_J(fam, src, w_t, grid)
-        if lo < n:  # beta' at the scan rows of this block
+        w_t = _segment_jet(ctx, rows[blk])
+        u = alpha_root_jet(w_t, ctx.alpha)
+        values[blk] = _root_energy(fam, src, u, grid)
+        if lo < n:  # beta' (and so gamma) at the scan rows of this block
             m = min(n, blk.stop) - lo
-            u = alpha_root_jet(JetField(w_t.values[:m], w_t.grads[:m]), ctx.alpha)
-            flux = fam.a_batch(u.grads)
-            bprime[lo:lo + m] = integrate(np.sum(flux * gamma.grads[:m], axis=-1), grid) \
-                - integrate(src.fbar_vals(u.values) * gamma.values[:m], grid)
+            gamma = _gamma(ctx, w_t.values[:m], w_t.grads[:m])
+            flux = fam.a_batch(u.grads[:m])
+            bprime[lo:lo + m] = integrate(dot_components(flux, gamma.grads), grid) \
+                - integrate(src.fbar_vals(u.values[:m]) * gamma.values, grid)
     beta, beta_near = values[:n], values[n:3 * n].reshape(n, 2)
     beta0, beta1 = float(values[-2]), float(values[-1])
 

@@ -8,10 +8,11 @@ import pxlab.grid
 from pxlab import (AnalyticFieldSpec, JetField, alpha_root_jet,
                    build_grid, discrete_gradient, integrate, jet_linear,
                    sample_jet, sample_values)
-from pxlab.grid import _certified_row_sums, dct, idct, stencil_adjoint, stencil_symbol
+from pxlab.grid import (_certified_row_sums, dct, dot_components, idct, scale_components,
+                        stencil_adjoint, stencil_symbol)
 
-from util import (POSITIVE_SPECS, ref_dct, ref_discrete_gradient, ref_idct,
-                  ref_stencil_adjoint)
+from util import (POSITIVE_SPECS, ref_dct, ref_discrete_gradient, ref_dot_components,
+                  ref_idct, ref_scale_components, ref_stencil_adjoint)
 
 
 def test_build_grid_1d_midpoints():
@@ -355,6 +356,39 @@ def test_kernels_match_the_moveaxis_reference_bit_for_bit(dim, n, extent, scale)
              (stencil_adjoint(flux, g), ref_stencil_adjoint(flux, g))]
     with np.errstate(over="ignore", invalid="ignore"):  # 1e300 overflows
         pairs += [(dct(u), ref_dct(u)), (idct(u), ref_idct(u))]
+    for new, ref in pairs:
+        assert new.shape == ref.shape
+        assert np.array_equal(_bits(new), _bits(ref))
+
+
+def _component_data(rng, shape):
+    """Normal draws at magnitudes 1e-150, 1 and 1e150, about 10% of them
+    replaced by signed zeros and 10% by subnormals."""
+    x = rng.standard_normal(shape) * rng.choice([1e-150, 1.0, 1e150], size=shape)
+    kind = rng.random(shape)
+    zero = kind < 0.1
+    x[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    sub = (kind >= 0.1) & (kind < 0.2)
+    x[sub] = rng.integers(-2**40, 2**40, size=int(sub.sum())) * 5e-324
+    return x
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rows", [(), (1,), (7,), (3, 5)])
+def test_component_kernels_match_the_whole_array_forms_bit_for_bit(dim, rows):
+    rng = np.random.default_rng(23 + dim)
+    a = _component_data(rng, (*rows, 40, dim))
+    b = _component_data(rng, (*rows, 40, dim))
+    a[..., :3, :] = -0.0  # products of -0.0 alone, and -0.0 against +0.0
+    b[..., :2, :] = 1.0
+    s = _component_data(rng, (*rows, 40))
+    one = a.reshape(-1, 40, dim)[0]  # one row, broadcast against the stack
+    with np.errstate(all="ignore"):  # 1e150 squared overflows, 0 / 0
+        pairs = [(dot_components(a, b), ref_dot_components(a, b)),
+                 (dot_components(one, b), ref_dot_components(one, b)),
+                 (scale_components(a, s), ref_scale_components(a, s)),
+                 (scale_components(one, s), ref_scale_components(one, s)),
+                 (scale_components(a, s, np.divide), ref_scale_components(a, s, np.divide))]
     for new, ref in pairs:
         assert new.shape == ref.shape
         assert np.array_equal(_bits(new), _bits(ref))

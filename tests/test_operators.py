@@ -10,9 +10,9 @@ import pxlab.grid
 from pxlab import (ExponentField, check_homogeneity, exponent_field,
                    image_coercivity_constants, image_growth_constant,
                    make_image_operator, make_multiphase)
-from pxlab.operators import ImageFamily
+from pxlab.operators import ImageFamily, _gl_panels
 
-from util import grid_1d, image_op, single_phase, two_phase
+from util import grid_1d, image_op, ref_gl_panels, single_phase, two_phase
 
 
 @pytest.fixture(scope="module")
@@ -419,6 +419,20 @@ def test_image_primitive_golden_bits(eps, delta):
     fam = make_image_operator(exponent_field(grid_1d(exps.size), exps), eps, delta, 1.5)
     got = fam.A_batch(np.tile(limits, 3))
     assert [v.hex() for v in got] == GOLDEN_BITS[(eps, delta)]
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0, "random"])
+@pytest.mark.parametrize("size", [1, 2729, 2730, 2731, 9000])  # blocks of 2730 panels
+def test_gl_panels_match_the_reduceat_reference_bit_for_bit(delta, size):
+    rng = np.random.default_rng(size)
+    if delta == "random":
+        delta = rng.uniform(0.3, 3.0)
+    start = rng.uniform(-40.0, 40.0, size)
+    width = rng.uniform(0.0, 1.0, size)
+    width[rng.random(size) < 0.05] = 0.0
+    q = rng.choice([1.2, 1.5, 2.0, 3.4], size) + rng.uniform(0.0, 1e-3, size)
+    got, want = _gl_panels(start, width, q, delta), ref_gl_panels(start, width, q, delta)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_image_primitive_large_limits_stay_finite_and_small():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pxlab.grid
+import pxlab.path
 from pxlab import (JetField, alpha_root_jet, beta_scan, build_grid, default_thetas,
                    energy_J, integrate, jet_linear, make_path, path_jets)
 from pxlab.path import FD_STEP
@@ -204,6 +205,9 @@ def test_beta_scan_validation():
     fam = single_phase(grid, 2.0, alpha=1.5)
     with pytest.raises(ValueError):
         beta_scan(ctx, fam, power_src(grid.npoints, alpha=2.0), grid)
+    # J and beta' share one alpha-root jet, so the alphas must agree exactly
+    with pytest.raises(ValueError, match="source alpha must match the path alpha"):
+        beta_scan(ctx, fam, power_src(grid.npoints, alpha=1.5 + 1e-13), grid)
 
 
 def test_default_thetas_inside_interval():
@@ -316,3 +320,30 @@ def test_scan_does_not_depend_on_the_block_size(monkeypatch):
         for name, want in whole.items():
             got = np.asarray(scan[name]).tobytes()
             assert got == np.asarray(want).tobytes(), (block, name)
+
+
+@pytest.mark.parametrize("rows_per_block", [125, 7])
+def test_scan_roots_once_per_block_and_takes_gamma_at_scan_rows_only(monkeypatch,
+                                                                     rows_per_block):
+    grid = build_grid(2, 16, 1.0)
+    rng = np.random.default_rng(13)
+    ctx = make_path(random_positive_jet(rng, grid), random_positive_jet(rng, grid), 1.5)
+    monkeypatch.setattr(pxlab.grid, "BLOCK_ELEMENTS", rows_per_block * grid.npoints)
+    roots, gamma_rows = [], []
+    root, gamma = pxlab.path.alpha_root_jet, pxlab.path._gamma
+
+    def counted_root(w, alpha):
+        roots.append(w.values.shape[0])
+        return root(w, alpha)
+
+    def counted_gamma(ctx, v, grads):
+        gamma_rows.append(v.shape[0])
+        return gamma(ctx, v, grads)
+
+    monkeypatch.setattr(pxlab.path, "alpha_root_jet", counted_root)
+    monkeypatch.setattr(pxlab.path, "_gamma", counted_gamma)
+    beta_scan(ctx, image_op(grid, alpha=1.5),
+              power_src(grid.npoints, r1=1.0, q1=1.0, alpha=1.5), grid)
+    blocks = [b.stop - b.start for b in pxlab.grid.row_blocks(125, grid.npoints)]
+    assert roots == blocks  # one alpha-root jet per block, for J and beta'
+    assert sum(gamma_rows) == 41  # gamma at the scan rows, not their neighbours

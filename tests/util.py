@@ -5,6 +5,8 @@ import numpy as np
 from pxlab import (AnalyticFieldSpec, build_grid, exponent_field,
                    make_fidelity_source, make_image_operator, make_multiphase,
                    make_power_source, make_zero_source, sample_jet)
+from pxlab.grid import row_blocks
+from pxlab.operators import _GL_NODES, _GL_WEIGHTS
 
 
 def single_phase(grid, p=2.0, alpha=None):
@@ -125,3 +127,33 @@ def ref_idct(x):
         spec[..., 0] *= 2.0
         x = np.moveaxis(n * np.fft.irfft(spec, 2 * n)[..., :n], -1, axis)
     return x
+
+
+# Reference formulations of the component kernels: whole-array forms that
+# reduce over or broadcast along the trailing component axis.  The package's
+# one-component-at-a-time kernels must return the same bits.
+
+def ref_dot_components(a, b):
+    return np.sum(a * b, axis=-1)
+
+
+def ref_scale_components(g, s, op=np.multiply):
+    return op(g, s[..., None])
+
+
+def ref_gl_panels(start, width, q, delta):
+    """The Gauss-Legendre panels laid out panel-major, each panel's 12 node
+    terms summed by np.add.reduceat."""
+    out = np.empty_like(start)
+    for blk in row_blocks(start.size, _GL_NODES.size):
+        v = width[blk, None] * _GL_NODES
+        v += start[blk, None]
+        f = q[blk, None] * v
+        np.exp(f, out=f)
+        np.exp(v, out=v)
+        np.log1p(v, out=v)
+        v **= delta
+        f *= v
+        f *= _GL_WEIGHTS
+        out[blk] = width[blk] * np.add.reduceat(f.ravel(), np.arange(0, f.size, _GL_NODES.size))
+    return out
