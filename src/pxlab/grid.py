@@ -50,6 +50,8 @@ CATALOG_NAMES = (
 # image primitive's series and panels are evaluated a block of rows at a
 # time, so their memory stays bounded whatever the number of rows.
 BLOCK_ELEMENTS = 2 ** 15
+# The longest 1-D input integrate sums by math.fsum; past it the same bits cost less certified
+FSUM_MAX_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -165,17 +167,20 @@ def integrate(values, grid: Grid):
     returns, bit for bit.
 
     values has shape (..., npoints); a 1-D input gives a float and a
-    stacked one an array holding one sum per row.  A 1-D input is summed by
-    ``math.fsum``; stacked rows by :func:`_certified_row_sums`, which hands
-    every row it cannot certify to ``math.fsum``, so a row returns or
-    raises as ``math.fsum`` does.
+    stacked one an array holding one sum per row.  A 1-D input of at most
+    FSUM_MAX_POINTS values is summed by ``math.fsum``; a longer one, as one
+    row, and stacked rows by :func:`_certified_row_sums`, which hands every
+    row it cannot certify to ``math.fsum``, so a row returns or raises as
+    ``math.fsum`` does.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != (grid.npoints,):
         raise ValueError(f"expected {grid.npoints} values, got shape {values.shape}")
     weighted = grid.quad_weights * values
     if weighted.ndim == 1:
-        return math.fsum(weighted.tolist())
+        if weighted.size <= FSUM_MAX_POINTS:
+            return math.fsum(weighted.tolist())
+        return float(_certified_row_sums(weighted[None, :])[0])
     rows = weighted.reshape(-1, grid.npoints)
     sums = np.empty(rows.shape[0])
     for blk in row_blocks(rows.shape[0], grid.npoints):

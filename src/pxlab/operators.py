@@ -506,14 +506,18 @@ def image_coercivity_constants(fam: ImageFamily, volume: float) -> tuple:
         A(x, t) >= eps^(p(x)-alpha) * (eps/(1+eps))^delta * (t^alpha - eps^alpha)/alpha
     via ln(1+s) >= s/(1+s) >= eps/(1+eps) on [eps, t]; for t < eps use A >= 0.
     Both cases give A(x, t) >= c1 t^alpha - c1 eps^alpha, and integrating over
-    the box of the given volume yields c2 = c1 eps^alpha volume.
+    the box of the given volume yields c2 = c1 eps^alpha volume (inf when
+    eps^alpha overflows).
     """
     if not isinstance(fam, ImageFamily):
         raise ValueError("coercivity constants apply to the image family")
     eps, delta, alpha = fam.eps, fam.delta, fam.alpha
     kmin = float(np.min(eps ** (fam.p.values - alpha)))
     c1 = kmin * (eps / (1.0 + eps)) ** delta / alpha
-    c2 = c1 * eps**alpha * float(volume)
+    try:
+        c2 = c1 * eps**alpha * float(volume)
+    except OverflowError:  # eps^alpha exceeds every double: only c2 = inf holds
+        c2 = math.inf
     return c1, c2
 
 

@@ -12,7 +12,8 @@ with D the stencil gradient, D^T its adjoint and w the quadrature weights.
 Minimization is a matrix-free truncated Newton-CG method (inexact Newton
 with Eisenstat-Walker forcing terms): preconditioned conjugate gradients
 on H, applied only through Hessian-vector products, give each step, and
-an Armijo line search on energy differences globalizes it.  The
+an Armijo line search on energy differences (approximate Wolfe where they
+reach rounding level) globalizes it, with no BLAS call in any step.  The
 preconditioner M = c D^T D + m freezes H's coefficients at their means
 once per Newton step; the DCT-II diagonalizes D^T D exactly
 (:func:`grid.stencil_symbol`), so M^{-1} costs O(N log N) and the CG work
@@ -56,6 +57,9 @@ STALL_STEPS = 20
 # the energy unbounded below: an unguarded descent runs off to states
 # whose primitive cannot even be integrated.
 STATE_BAND = (-1.0, 2.0)
+# The line search's approximate-Wolfe fallback (Hager and Zhang, SIAM J.
+# Optim. 16, 2005, section 4), for energy changes rounding can decide
+ENERGY_ROUNDING, WOLFE_DELTA, WOLFE_SIGMA = 1e-14, 0.1, 0.9
 
 
 @dataclass
@@ -82,7 +86,8 @@ class SolveResult:
     and ``hvps`` the Hessian-vector products their conjugate-gradient
     solves spent; ``energy`` is :func:`discrete_energy` of ``U``;
     ``energy_history`` holds the start energy, then adds the energy change
-    of each step the line search accepted (nonincreasing).  ``converged``
+    of each step the line search accepted: nonincreasing, but for rises
+    within the rounding scale of its approximate-Wolfe fallback.  ``converged``
     means ``residual_norm`` meets the tolerance, and nothing else.  An
     unconverged solve says why it stopped in ``note`` and carries
     ``residual_floor``, the residual sup norm that a 1-ulp rounding of
@@ -158,7 +163,8 @@ def discrete_hessian(fam: OperatorFamily, src: SourceFamily, U, grid: Grid):
     H = D^T diag(w J(D U)) D - diag(w fbar'(U)) is the exact derivative of
     :func:`discrete_residual` wherever the gradient magnitudes and the
     nodal values stay off the floor ``HESSIAN_FLOOR`` (and off the kinks
-    of Phi' and fbar'); it is symmetric by construction.
+    of Phi' and fbar'); it is symmetric by construction, and applied
+    elementwise from the dim (dim + 1) / 2 distinct components of w J.
 
     M = c D^T D + m freezes H's coefficients at their means: c is the mean
     of w trace(J) / dim and m the mean of the source diagonal
@@ -182,19 +188,24 @@ def _hessian(fam: OperatorFamily, src: SourceFamily, st: _State, symbol, grid: G
     else:
         sf = np.maximum(s, HESSIAN_FLOOR)
         psi = fam.psi(sf)
-    unit = np.divide(xi, s[:, None], out=np.zeros_like(xi), where=s[:, None] > 0.0)
-    jac = (psi[:, None, None] * np.eye(grid.dim)
-           + (fam.phi_prime(sf) - psi)[:, None, None] * unit[:, :, None] * unit[:, None, :])
-    jac *= grid.quad_weights[:, None, None]
+    e = np.divide(xi.T, s, out=np.zeros((grid.dim, grid.npoints)), where=s > 0.0)
+    b = fam.phi_prime(sf) - psi
+    jac = {}  # j_kl = w (psi delta_kl + b e_k e_l), each pair k <= l computed once
+    for k in range(grid.dim):
+        for l in range(k, grid.dim):
+            jac[k, l] = jac[l, k] = (b * e[k] * e[l] + (psi if k == l else 0.0)) * grid.quad_weights
     u = st.u
     u_f = np.where((u >= 0.0) & (u < HESSIAN_FLOOR), HESSIAN_FLOOR, u)
     diag = -grid.quad_weights * src.fbar_prime_vals(u_f)
 
     def apply(v):
-        flux = np.matmul(jac, discrete_gradient(v, grid)[:, :, None])[:, :, 0]
-        return stencil_adjoint(flux, grid) + diag * v.ravel()
+        dv = discrete_gradient(v, grid).T.copy()
+        flux = np.empty_like(dv)
+        for k in range(grid.dim):
+            flux[k] = sum((jac[k, l] * dv[l] for l in range(1, grid.dim)), jac[k, 0] * dv[0])
+        return stencil_adjoint(flux.T, grid) + diag * v.ravel()
 
-    c = float(np.mean(np.trace(jac, axis1=1, axis2=2))) / grid.dim
+    c = float(np.mean(sum(jac[k, k] for k in range(grid.dim)))) / grid.dim
     # mean(diag) is H's exact curvature along the constants (D 1 = 0); the
     # floor caps M's condition number at 1/sqrt(eps)
     m = max(float(np.mean(diag)), np.sqrt(np.finfo(float).eps) * c * float(symbol.max()))
@@ -212,6 +223,12 @@ def residual_norm(res, grid: Grid) -> float:
     return float(np.max(np.abs(np.ravel(res)) / grid.quad_weights))
 
 
+def _dot(a, b) -> float:
+    """a . b by NumPy's pairwise sum, the solver's one reduction: no BLAS
+    call, so its bits do not depend on the BLAS thread count."""
+    return float(np.add.reduce(a * b))
+
+
 def _truncated_cg(hvp, precond, g, eta):
     """Preconditioned conjugate gradients on H d = -g from d = 0.
 
@@ -225,11 +242,11 @@ def _truncated_cg(hvp, precond, g, eta):
     d = np.zeros_like(g)
     r = -g
     p = precond(r)
-    rz = float(r @ p)
-    stop = eta * eta * float(r @ r)
+    rz = _dot(r, p)
+    stop = eta * eta * _dot(r, r)
     for k in range(CG_MAX_ITERS):
         Hp = hvp(p)
-        curv = float(p @ Hp)
+        curv = _dot(p, Hp)
         if curv <= 0.0:
             if k == 0:
                 return (p * (rz / -curv) if curv < 0.0 else p), 1
@@ -237,10 +254,10 @@ def _truncated_cg(hvp, precond, g, eta):
         a = rz / curv
         d += a * p
         r = r - a * Hp
-        if float(r @ r) <= stop:
+        if _dot(r, r) <= stop:
             return d, k + 1
         z = precond(r)
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     return d, CG_MAX_ITERS
@@ -258,7 +275,10 @@ def minimize(cfg: SolveConfig) -> SolveResult:
     the energy change from U to V = U + t d is taken as a difference,
     the quadrature of A(|D V|) - A(|D U|) minus that of
     :meth:`SourceFamily.Fbar_diff`, not as a difference of two energies,
-    so it resolves steps far below the rounding of |E|.  The solve stops
+    so it resolves steps far below the rounding of |E|.  Where Armijo fails
+    but dE <= ENERGY_ROUNDING (int |A(U)| + int |Fbar(U)|), the trial is
+    accepted when WOLFE_SIGMA g.d <= g(V).d <= (2 WOLFE_DELTA - 1) g.d, and
+    g(V) is the next residual.  The solve stops
     when the residual sup norm meets the tolerance (``converged``), or
     with ``converged`` False and a ``note`` saying why: the line search
     failed, the residual did not halve within STALL_STEPS Newton steps,
@@ -307,7 +327,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         if iterations - best_at >= STALL_STEPS:
             note = f"residual stopped improving (no halving in {STALL_STEPS} Newton steps)"
             break
-        gnorm = float(np.linalg.norm(g))
+        gnorm = float(np.sqrt(_dot(g, g)))
         eta = ETA_MAX if gnorm_prev is None else min(ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
         # no need to solve the linear model beyond half the tolerance
         eta = max(eta, 0.5 * cfg.residual_tol * float(grid.quad_weights.min()) / gnorm)
@@ -322,14 +342,22 @@ def minimize(cfg: SolveConfig) -> SolveResult:
             note = f"the Newton step leaves the band {STATE_BAND}"
             break
         d *= t_max
-        slope = float(g @ d)
-        t = 1.0
+        slope = _dot(g, d)
+        t, rounding = 1.0, None
         for _ in range(MAX_HALVINGS):
             trial = _State(U + t * d, grid)
             A_V = fam.A_batch(trial.s)
             dE = integrate(A_V - A_U, grid) - integrate(src.Fbar_diff(U, trial.u), grid)
+            g_V = None
             if dE <= SUFFICIENT_DECREASE * t * slope:
                 break
+            if rounding is None:
+                rounding = ENERGY_ROUNDING * (integrate(np.abs(A_U), grid)
+                                              + integrate(np.abs(src.Fbar_vals(U)), grid))
+            if dE <= rounding:
+                g_V = _residual(fam, src, trial, grid)
+                if WOLFE_SIGMA * slope <= _dot(g_V, d) <= (2.0 * WOLFE_DELTA - 1.0) * slope:
+                    break
             t *= 0.5
         else:
             note = "line search failed"
@@ -339,7 +367,7 @@ def minimize(cfg: SolveConfig) -> SolveResult:
         history.append(E)
         iterations += 1
         gnorm_prev = gnorm
-        g = _residual(fam, src, state, grid)
+        g = _residual(fam, src, state, grid) if g_V is None else g_V
         rnorm = residual_norm(g, grid)
         if rnorm <= 0.5 * best:
             best, best_at = rnorm, iterations
@@ -409,7 +437,7 @@ def verify_weak_solution(fam: OperatorFamily, src: SourceFamily, U, grid: Grid,
     for blk in row_blocks(WEAK_FORM_TESTS, grid.npoints):
         phis = np.array([_random_test_function(rng, grid, k) for k in range(blk.start, blk.stop)])
         norms = integrate(np.abs(phis), grid)
-        defects += [abs(res @ phi) / max(norm, 1e-300) for phi, norm in zip(phis, norms)]
+        defects += [abs(_dot(res, phi)) / max(norm, 1e-300) for phi, norm in zip(phis, norms)]
     worst = float(max(defects))
     return {
         "max_normalized_defect": worst,

@@ -482,6 +482,28 @@ def test_every_command_writes_one_report_that_matches_its_exit_code(tmp_path, ca
     assert rep["command"] == command and rep["passed"] == (code == 0)
 
 
+# image profiles whose growth constant b cannot be located: the ratio it
+# bounds decays too slowly
+GROWTH_LIMITS = {
+    "p-near-alpha": {"alpha": 1.005, "denoise": {"p": 1.01}},
+    "huge-eps": {"denoise": {"eps": 1e300}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROWTH_LIMITS))
+def test_unlocated_growth_constant_leaves_h6_not_checked(tmp_path, case):
+    # the gate fails on it and the run still solves and writes its report
+    out = tmp_path / "out"
+    code = main(["denoise", "--config", _write_cfg(tmp_path, "cfg.json", GROWTH_LIMITS[case]),
+                 "--output", str(out)])
+    assert code == 1
+    assert [p.name for p in out.glob("*.json")] == ["denoise_report.json"]
+    res = json.loads((out / "denoise_report.json").read_text())["results"]
+    h6 = res["gate"]["checks"]["H6"]
+    assert h6["status"] == "not-checked" and "decays too slowly" in h6["note"]
+    assert not res["gate_ok"] and res["converged"]
+
+
 def test_denoise_large_mu_tracks_input(tmp_path):
     # dominant fidelity pins the output to the data on smooth inputs
     n = 12

@@ -150,6 +150,23 @@ def test_stacked_integrate_equals_fsum_on_adversarial_rows(case):
     assert _integrate_outcome(benign + rows, g) == want
 
 
+@pytest.mark.parametrize("width", [1024, 1025, 4096])
+def test_one_dimensional_integrate_equals_fsum_at_any_length(width):
+    # up to FSUM_MAX_POINTS values go to math.fsum and longer ones to the
+    # certified row sums: the same value, or the same exception, either way
+    g = _unit_grid(width)
+    rng = np.random.default_rng(width)
+    rows = [rng.standard_normal(width).tolist(),
+            (rng.standard_normal(width) * 10.0 ** rng.integers(-300, 300, width)).tolist()]
+    rows += [row + [-0.0] * (width - len(row)) for case in EDGE_ROWS.values() for row in case]
+    for row in rows:
+        try:
+            got = ("value", integrate(np.array(row), g).hex())
+        except (ValueError, OverflowError) as e:
+            got = ("raises", type(e), str(e))
+        assert got == _fsum_outcome(row), row[:4]
+
+
 def test_certified_row_sums_on_one_column_and_no_rows():
     rows = [row[:1] for rows in EDGE_ROWS.values() for row in rows]
     got = _certified_row_sums(np.array(rows))
