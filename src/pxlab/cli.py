@@ -21,7 +21,7 @@ import numpy as np
 
 from . import hypotheses as hyp
 from . import inequality as ineq
-from .grid import AnalyticFieldSpec, Grid, JetField, build_grid, sample_jet
+from .grid import AnalyticFieldSpec, Grid, JetField, build_grid, row_blocks, sample_jet
 from .operators import (ExponentField, OperatorFamily, check_homogeneity, exponent_field,
                         make_image_operator, make_multiphase)
 from .path import beta_scan, make_path
@@ -258,10 +258,34 @@ def _write_report(outdir: Path, command: str, config: dict, results: dict,
 def _write_csv(path: Path, header, template: str, columns) -> None:
     """One line per index of the equal-length arrays in ``columns``,
     formatted by the %-template ``template`` (``%d`` for ints, ``%.17g``
-    for floats, which round-trips every double)."""
+    for floats, which round-trips every double, ``%s`` for strings); one
+    ``%`` formats a block of lines, so memory stays bounded."""
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(template % row for row in zip(*(np.asarray(c).tolist() for c in columns)))
+        for blk in row_blocks(columns[0].size, len(columns)):
+            # Python ints, floats and strings, row after row
+            rows = np.empty((blk.stop - blk.start, len(columns)), dtype=object)
+            for k, c in enumerate(columns):
+                rows[:, k] = c[blk]
+            f.write(template * rows.shape[0] % tuple(rows.ravel().tolist()))
+
+
+def _write_solution_csv(path: Path, grid: Grid, U: np.ndarray) -> None:
+    """solution.csv: per node its index per axis, its coordinates and its value.
+    Each axis's coordinates are formatted once, not once per node."""
+    x = grid.quad_points
+    if grid.dim == 1:
+        header, index, axes = ["i", "x", "value"], (np.arange(grid.npoints),), (x[:, 0],)
+    else:
+        # quadrature points run row-major over (i, j)
+        header = ["i", "j", "x1", "x2", "value"]
+        index = np.divmod(np.arange(grid.npoints), grid.n[1])
+        axes = (x[::grid.n[1], 0], x[:grid.n[1], 1])
+    labels = [np.array(["%.17g" % v for v in a.tolist()], dtype=object)[i]
+              for a, i in zip(axes, index)]
+    _write_csv(path, header, "%d," * grid.dim + "%s," * grid.dim + "%.17g\n",
+               (*index, *labels, U.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -360,18 +384,10 @@ def cmd_solve(cfg: dict, outdir: Path, seed: int) -> tuple:
                                residual_tol=scfg.residual_tol)
     outdir.mkdir(parents=True, exist_ok=True)
     U = result.U
-    x = grid.quad_points
-    if grid.dim == 1:
-        _write_csv(outdir / "solution.csv", ["i", "x", "value"], "%d,%.17g,%.17g\n",
-                   (np.arange(grid.npoints), x[:, 0], U.ravel()))
-    else:
-        # quadrature points run row-major over (i, j)
-        i, j = np.divmod(np.arange(grid.npoints), grid.n[1])
-        _write_csv(outdir / "solution.csv", ["i", "j", "x1", "x2", "value"],
-                   "%d,%d,%.17g,%.17g,%.17g\n", (i, j, x[:, 0], x[:, 1], U.ravel()))
-        if result.in_unit_box:
-            # in_unit_box admits rounding just outside [0, 1]; pixels may not
-            write_pgm(np.clip(U, 0.0, 1.0), outdir / "solution.pgm")
+    _write_solution_csv(outdir / "solution.csv", grid, U)
+    if grid.dim == 2 and result.in_unit_box:
+        # in_unit_box admits rounding just outside [0, 1]; pixels may not
+        write_pgm(np.clip(U, 0.0, 1.0), outdir / "solution.pgm")
     return _solve_results(gate, gate_ok, result) | {
         "energy": result.energy,
         "strongly_positive": result.strongly_positive,

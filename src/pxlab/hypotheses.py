@@ -246,9 +246,9 @@ def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
     * multi-phase: a = b = sum_k max w_k, and H8-pX with the supplied
       ``d0``/``d0_tilde``, else (min w / p+, 0);
     * image: a = 0 and b from ``image_growth_constant`` (H6 ``not-checked``
-      where it fails), H8-alpha with ``image_coercivity_constants``, and
-      the H8-pX probe with d0 = 1, d0_tilde = 0, which the profile is
-      expected to fail.
+      where it fails), H8-alpha with ``image_coercivity_constants``
+      (``not-checked`` where c2 is not finite), and the H8-pX probe with
+      d0 = 1, d0_tilde = 0, which the profile is expected to fail.
 
     Every entry gates ``ok`` except the H2 exponent entries and the image
     H8-pX probe, which are informational.
@@ -310,7 +310,11 @@ def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
             return CheckResult("pass", worst, None)
         return CheckResult("fail", worst, (k,))
 
-    rep.checks[h8] = coercivity(order, c, c_tilde)
+    if math.isfinite(c_tilde):
+        rep.checks[h8] = coercivity(order, c, c_tilde)
+    else:  # every margin would be inf: the bound holds vacuously
+        rep.checks[h8] = CheckResult("not-checked",
+                                     note=f"coercivity constant c2 = {c_tilde} is not finite")
 
     p = fam.exponent
     rep.checks["H2-bounds"] = CheckResult("pass", 0.0, None,

@@ -178,7 +178,7 @@ class ImageFamily(OperatorFamily):
         # analytic on |s| < 1, and the coefficients b_k of g^delta depend on
         # delta only.  The series alternates; summing it only up to
         # tau0 <= 1/delta keeps its condition number below e.
-        self._tau0 = min(0.5, 1.0 / self.delta)
+        self._tau0 = _series_cutoff(self.delta)
         ln_ratio = (-1.0) ** np.arange(_SERIES_TERMS) / np.arange(1.0, _SERIES_TERMS + 1)
         self._series = _series_power(ln_ratio, self.delta).reshape(-1, _HORNER_ORDER, 1)
         # per distinct p, the series over [0, min(eps, tau0)] and the factor
@@ -189,12 +189,14 @@ class ImageFamily(OperatorFamily):
         cap = np.full_like(self._p_distinct, min(self.eps, self._tau0))
         self._series_top = self._series_sum(cap, self._p_distinct)
         self._tail_scale = self.eps ** (self._p_distinct - self.alpha)
+        # the same factor per point, for Phi and its derivative
+        self._point_scale = self._tail_scale[np.searchsorted(self._p_distinct, p.values)]
 
     def _phi(self, s, idx):
         p = self.p.values[idx]
         logs = np.log1p(s) ** self.delta
         low = s ** (p - 1.0) * logs
-        high = self.eps ** (p - self.alpha) * s ** (self.alpha - 1.0) * logs
+        high = self._point_scale[idx] * s ** (self.alpha - 1.0) * logs
         return np.where(s <= self.eps, low, high)
 
     def _dphi(self, s, idx):
@@ -203,7 +205,7 @@ class ImageFamily(OperatorFamily):
         logs = np.log1p(s) ** self.delta
         dlogs = self.delta * np.log1p(s) ** (self.delta - 1.0) / (1.0 + s)
         low = (p - 1.0) * s ** (p - 2.0) * logs + s ** (p - 1.0) * dlogs
-        high = self.eps ** (p - self.alpha) * (
+        high = self._point_scale[idx] * (
             (self.alpha - 1.0) * s ** (self.alpha - 2.0) * logs
             + s ** (self.alpha - 1.0) * dlogs)
         return np.where(s <= self.eps, low, high)
@@ -213,16 +215,20 @@ class ImageFamily(OperatorFamily):
         # limits are sorted, the first pair of each run of equal adjacent
         # (t, p) is integrated, and the values are scattered back: one float
         # argsort serves every exponent field, and a constant exponent
-        # integrates each distinct t exactly once.
+        # integrates each distinct t exactly once, with no gather of p.
         shape = t.shape
         order = np.argsort(t, axis=None)
         ts = t.ravel()[order]
-        ps = self.p.values[np.broadcast_to(idx, shape).ravel()[order]]
         first = np.empty(ts.size, dtype=bool)
         first[:1] = True
         np.not_equal(ts[1:], ts[:-1], out=first[1:])
-        first[1:] |= ps[1:] != ps[:-1]
-        ts, ps = ts[first], ps[first]
+        if self._p_distinct.size == 1:
+            ts = ts[first]
+            ps = np.full(ts.size, self._p_distinct[0])
+        else:
+            ps = self.p.values[np.broadcast_to(idx, shape).ravel()[order]]
+            first[1:] |= ps[1:] != ps[:-1]
+            ts, ps = ts[first], ps[first]
         vals = self._A_pairs(ts, ps)
         out = np.empty(order.size)
         out[order] = vals[np.cumsum(first) - 1]
@@ -254,16 +260,32 @@ class ImageFamily(OperatorFamily):
         # tau^L, then Horner in tau joins the lanes; a block of rows at a time
         b = self._series
         k = np.arange(b.size, dtype=float).reshape(b.shape)
-        c = p + self.delta
+        if self._p_distinct.size == 1:
+            # the coefficients b_k / (p + delta + k) depend on p alone: with
+            # one exponent each is divided once, an (L, 1) column that
+            # broadcasts over the (L, rows) lanes
+            fixed = b / (self._p_distinct + self.delta + k)
+            coef = lambda g, blk, out: fixed[g]
+        else:
+            c = p + self.delta
+            coef = lambda g, blk, out: np.divide(b[g], np.add(c[blk], k[g], out=out), out=out)
         sums = np.empty_like(tau)
         for blk in row_blocks(tau.size, _HORNER_ORDER):
-            tb, cb = tau[blk], c[blk]
+            tb = tau[blk]
             y = tb ** _HORNER_ORDER
-            lanes = b[-1] / (cb + k[-1])
+            # the lane steps allocate nothing: a fresh (L, rows) array per
+            # step, past the allocator's mmap threshold, cost more than its
+            # arithmetic
+            lanes, scratch = np.empty((2, _HORNER_ORDER, tb.size))
+            lanes[...] = coef(-1, blk, scratch)
             for g in range(b.shape[0] - 2, -1, -1):
                 lanes *= y
-                lanes += b[g] / (cb + k[g])
-            sums[blk] = np.polynomial.polynomial.polyval(tb, lanes, tensor=False)
+                lanes += coef(g, blk, scratch)
+            # the lanes by Horner in tau, as polyval(tb, lanes, tensor=False)
+            acc = lanes[-1] + tb * 0
+            for g in range(_HORNER_ORDER - 2, -1, -1):
+                acc = lanes[g] + acc * tb
+            sums[blk] = acc
         # tau^p tau^delta: rounding p + delta would cost |ln tau| ulps
         return tau**p * tau**self.delta * sums
 
@@ -309,11 +331,31 @@ def make_multiphase(exponents, weights, alpha: float | None = None,
 
 def make_image_operator(p: ExponentField, eps: float, delta: float,
                         alpha: float) -> OperatorFamily:
-    """Image-processing profile with threshold eps and log exponent delta."""
+    """Image-processing profile with threshold eps and log exponent delta.
+
+    Rejects a delta (or an exponent) for which one exponent's table of
+    Gauss-Legendre panels could exceed PANEL_BUDGET panels.  The bound:
+    ``_log_panels`` tables the whole panels of width
+    H_q = min(1, 8/(q + delta)) from ln lo up to the largest limit.  Above
+    eps, q = alpha, lo = eps and a finite limit has ln t <= ln(DBL_MAX)
+    (709.78), so the table holds at most
+    (ln(DBL_MAX) - ln eps) max(1, (alpha + delta)/8) panels.  Where
+    eps > tau0 = min(1/2, 1/delta) the low branch tables [tau0, eps] per
+    exponent, at most ln(eps/tau0) max(1, (p+ + delta)/8) panels.  At
+    eps = 1/2 and alpha = 3/2 the budget admits delta up to about 11 800.
+    """
     if not (0.0 < eps < math.inf and 0.0 < delta < math.inf):
         raise ValueError(f"eps and delta must be positive and finite, got {eps}, {delta}")
     if not 1.0 < alpha < p.p_minus:
         raise ValueError(f"need p- > alpha > 1, got alpha={alpha}, p-={p.p_minus}")
+    panels = (math.log(np.finfo(float).max) - math.log(eps)) * max(1.0, (alpha + delta) / 8.0)
+    tau0 = _series_cutoff(delta)
+    if eps > tau0:
+        panels = max(panels, math.log(eps / tau0) * max(1.0, (p.p_plus + delta) / 8.0))
+    if panels > PANEL_BUDGET:
+        raise ValueError(f"the image primitive at delta = {delta}, p+ = {p.p_plus} needs up to"
+                         f" {panels:.3g} quadrature panels per exponent, more than"
+                         f" {PANEL_BUDGET}")
     return ImageFamily(p, eps, delta, alpha)
 
 
@@ -325,9 +367,24 @@ def make_image_operator(p: ExponentField, eps: float, delta: float,
 # at delta = 2 and tau0 = 1/2), summed by Horner's rule in 10 lanes of 6
 _SERIES_TERMS = 60
 _HORNER_ORDER = 10
-# the 12-point Gauss-Legendre rule mapped to [0, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
+# the 12-point Gauss-Legendre rule mapped to [0, 1]: the bits of 0.5 (x + 1)
+# and 0.5 w for (x, w) = numpy.polynomial.legendre.leggauss(12), written out
+# so that importing the package does not load numpy.polynomial
+_GL_NODES = np.array([
+    0.009219682876640378, 0.0479413718147626, 0.11504866290284765, 0.20634102285669126,
+    0.31608425050090994, 0.43738329574426554, 0.5626167042557344, 0.6839157494990901,
+    0.7936589771433087, 0.8849513370971523, 0.9520586281852375, 0.9907803171233596])
+_GL_WEIGHTS = np.array([
+    0.023587668193255706, 0.05346966299765953, 0.08003916427167321, 0.10158371336153287,
+    0.1167462682691773, 0.12457352290670134, 0.12457352290670134, 0.1167462682691773,
+    0.10158371336153287, 0.08003916427167321, 0.05346966299765953, 0.023587668193255706])
+# the most whole panels one exponent's table may hold: 8 MiB of prefix sums
+PANEL_BUDGET = 2 ** 20
+
+
+def _series_cutoff(delta: float) -> float:
+    """tau0: the series is summed over [0, min(t, tau0)] only."""
+    return min(0.5, 1.0 / delta)
 
 
 def _series_power(a: np.ndarray, delta: float) -> np.ndarray:
@@ -356,6 +413,8 @@ def _log_panels(lo: float, hi: float, t, qs, u, delta: float) -> np.ndarray:
     a row's value does not depend on the other rows.  Rows with t_i <= lo
     give 0.
     """
+    if not np.any(t > lo):
+        return np.zeros(np.shape(t))
     a = math.log(lo)
     b = np.log(np.clip(t, lo, hi))
     out = np.zeros_like(b)

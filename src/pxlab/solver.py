@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (AnalyticFieldSpec, Grid, dct, discrete_gradient, idct,
+from .grid import (AnalyticFieldSpec, Grid, dct, discrete_gradient, dot_components, idct,
                    integrate, row_blocks, sample_values, stencil_adjoint, stencil_symbol)
 from .operators import OperatorFamily
 from .sources import SourceFamily
@@ -114,7 +114,8 @@ class SolveResult:
 
 def discrete_energy(fam: OperatorFamily, src: SourceFamily, U, grid: Grid) -> float:
     """Quadrature of A at stencil gradients minus quadrature of Fbar at nodes."""
-    grad_norms = np.linalg.norm(discrete_gradient(U, grid), axis=1)
+    xi = discrete_gradient(U, grid)
+    grad_norms = np.sqrt(dot_components(xi, xi))
     grad_term = integrate(fam.A_batch(grad_norms), grid)
     source_term = integrate(src.Fbar_vals(np.ravel(U)), grid)
     return grad_term - source_term
@@ -128,7 +129,7 @@ class _State:
     def __init__(self, u, grid: Grid):
         self.u = u
         self.xi = discrete_gradient(u, grid)
-        self.s = np.linalg.norm(self.xi, axis=1)
+        self.s = np.sqrt(dot_components(self.xi, self.xi))
         self.psi = None
 
 
@@ -527,7 +528,8 @@ def _scaling_diagnostic(cfg: SolveConfig, ri: SolveResult, rj: SolveResult) -> d
     mask = ui > STRONG_POSITIVITY_FLOOR
     lam = float(np.mean(uj[mask] / ui[mask])) if np.any(mask) else float("nan")
     alpha = cfg.src.alpha
-    norms = np.linalg.norm(discrete_gradient(ri.U, cfg.grid), axis=1)
+    xi = discrete_gradient(ri.U, cfg.grid)
+    norms = np.sqrt(dot_components(xi, xi))
     phi_resid = float(np.max(np.abs(
         cfg.fam.phi(lam * norms) - lam ** (alpha - 1.0) * cfg.fam.phi(norms))))
     f_resid = float(np.max(np.abs(

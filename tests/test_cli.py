@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from pxlab import build_grid, synthetic_image
-from pxlab.cli import _total_variation, _write_csv, _write_report, main, read_pgm, write_pgm
+from pxlab.cli import (_total_variation, _write_csv, _write_report, _write_solution_csv, main,
+                       read_pgm, write_pgm)
+
+from util import ref_write_csv
 
 
 def _write_cfg(tmp_path, name, cfg):
@@ -175,6 +178,8 @@ BAD_CONFIGS = {
     # digit limit of int(), which json.dumps cannot write
     "source-mu-overflows-a-double": (
         "check-hypotheses", _SMALL | {"source": {"kind": "fidelity", "mu": 10**400}}),
+    # its panel table could not be tiled within the budget
+    "huge-delta": ("denoise", {"denoise": {"n": 8, "delta": 1e300}}),
     "grid-n-past-the-int-digit-limit": (
         "check-hypotheses", '{"grid": {"dim": 1, "n": 1' + "0" * 5000 + "}}"),
 }
@@ -498,10 +503,19 @@ def test_unlocated_growth_constant_leaves_h6_not_checked(tmp_path, case):
                  "--output", str(out)])
     assert code == 1
     assert [p.name for p in out.glob("*.json")] == ["denoise_report.json"]
-    res = json.loads((out / "denoise_report.json").read_text())["results"]
+    # strict JSON: no NaN or Infinity anywhere in the report
+    res = json.loads((out / "denoise_report.json").read_text(),
+                     parse_constant=_reject_constant)["results"]
     h6 = res["gate"]["checks"]["H6"]
     assert h6["status"] == "not-checked" and "decays too slowly" in h6["note"]
     assert not res["gate_ok"] and res["converged"]
+    if case == "huge-eps":  # eps^alpha overflows: c2 = inf would pass H8-alpha vacuously
+        h8 = res["gate"]["checks"]["H8-alpha"]
+        assert h8["status"] == "not-checked" and "not finite" in h8["note"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}")
 
 
 def test_denoise_large_mu_tracks_input(tmp_path):
@@ -574,6 +588,28 @@ def test_csv_writer_matches_the_fstring_reference(tmp_path):
         ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
         for row in zip(ints.tolist(), floats.tolist(), more.tolist()))
     assert path.read_bytes() == reference.encode()
+
+
+# 1-D, square and non-square 2-D grids; 90 x 80 nodes span two blocks of rows
+SOLUTION_GRIDS = {"1d": (1, 40, 1.0), "square": (2, 16, 1.0),
+                  "non-square": (2, [12, 20], [1.0, 1.7]), "block-edge": (2, [90, 80], 1.0)}
+
+
+@pytest.mark.parametrize("case", sorted(SOLUTION_GRIDS))
+def test_solution_csv_matches_the_per_row_writer(tmp_path, case):
+    grid = build_grid(*SOLUTION_GRIDS[case])
+    U = np.random.default_rng(grid.npoints).uniform(-1.0, 2.0, grid.n)
+    U.flat[:5] = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 1.0 / 3.0]
+    _write_solution_csv(tmp_path / "got.csv", grid, U)
+    x, flat = grid.quad_points, U.ravel()
+    if grid.dim == 1:
+        ref_write_csv(tmp_path / "want.csv", ["i", "x", "value"], "%d,%.17g,%.17g\n",
+                      (np.arange(grid.npoints), x[:, 0], flat))
+    else:
+        i, j = np.divmod(np.arange(grid.npoints), grid.n[1])
+        ref_write_csv(tmp_path / "want.csv", ["i", "j", "x1", "x2", "value"],
+                      "%d,%d,%.17g,%.17g,%.17g\n", (i, j, x[:, 0], x[:, 1], flat))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -10,9 +11,11 @@ import pxlab.grid
 from pxlab import (ExponentField, check_homogeneity, exponent_field,
                    image_coercivity_constants, image_growth_constant,
                    make_image_operator, make_multiphase)
-from pxlab.operators import ImageFamily, _gl_panels
+from pxlab.operators import (_GL_NODES, _GL_WEIGHTS, PANEL_BUDGET, ImageFamily, _gl_panels,
+                             _log_panels)
 
-from util import grid_1d, image_op, ref_gl_panels, single_phase, two_phase
+from util import (grid_1d, image_op, ref_gl_panels, ref_image_dphi, ref_image_phi,
+                  ref_series_sum, single_phase, two_phase)
 
 
 @pytest.fixture(scope="module")
@@ -421,6 +424,68 @@ def test_image_primitive_golden_bits(eps, delta):
     assert [v.hex() for v in got] == GOLDEN_BITS[(eps, delta)]
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+SERIES_EXPONENTS = {
+    "constant": lambda n: np.full(n, 2.3),
+    "ramp": lambda n: np.linspace(1.6, 3.4, n),
+    "per-point": lambda n: np.resize([1.7, 2.05, 2.6, 3.4], n),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SERIES_EXPONENTS))
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.5, 25.0])
+def test_series_sum_matches_the_per_row_division_bit_for_bit(kind, delta):
+    # limits at 0, subnormal, tiny, spread and just below tau0, past one
+    # block of rows (3276 rows of 10 lanes)
+    n = 3400
+    fam = make_image_operator(exponent_field(grid_1d(n), SERIES_EXPONENTS[kind](n)),
+                              0.5, delta, 1.5)
+    tau0 = fam._tau0
+    edge = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-9,
+            math.nextafter(tau0, 0.0), tau0 * (1.0 - 2.0 ** -40)]
+    tau = np.concatenate([edge, np.random.default_rng(3).uniform(0.0, tau0, n - len(edge))])
+    p = fam.p.values
+    assert np.array_equal(_bits(fam._series_sum(tau, p)), _bits(ref_series_sum(fam, tau, p)))
+
+
+@pytest.mark.parametrize("kind", sorted(SERIES_EXPONENTS))
+@pytest.mark.parametrize("eps", [0.05, 0.5, 1.9])
+def test_image_profile_matches_a_pow_per_evaluation_bit_for_bit(kind, eps):
+    # s at and around eps, where Phi changes branch, and far on either side;
+    # flat and stacked (rows, points) batches
+    n = 16
+    fam = make_image_operator(exponent_field(grid_1d(n), SERIES_EXPONENTS[kind](n)),
+                              eps, 1.37, 1.5)
+    s = np.array([0.0, 1e-300, 1e-6, eps * 0.5, math.nextafter(eps, 0.0), eps,
+                  math.nextafter(eps, math.inf), eps * 2.0, 3.0, 1e3, 1e6, 1e12, 0.7, 0.1,
+                  eps * (1.0 + 2.0 ** -30), 42.0])
+    idx = np.arange(n)
+    stacked = np.stack([s, s[::-1] + 1e-3])
+    for got, want in ((fam.phi(s), ref_image_phi(fam, s, idx)),
+                      (fam.phi(stacked), ref_image_phi(fam, stacked, idx)),
+                      (fam.phi_prime(s[1:], idx[1:]), ref_image_dphi(fam, s[1:], idx[1:])),
+                      (fam.phi_prime(stacked + 1e-9), ref_image_dphi(fam, stacked + 1e-9, idx))):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_log_panels_with_no_limit_above_lo_are_positive_zeros():
+    lo = 0.3
+    for t in (np.array([0.0, 1e-300, 0.1, math.nextafter(lo, 0.0), lo]),
+              np.full((2, 3), lo), np.empty(0)):
+        got = _log_panels(lo, 2.0, t, np.array([1.5, 2.5]), 0, 1.0)
+        assert got.shape == t.shape
+        assert np.array_equal(_bits(got), np.zeros(t.shape, dtype=np.uint64))
+
+
+def test_gl_rule_is_the_bits_of_leggauss():
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(_bits(_GL_NODES), _bits(0.5 * (x + 1.0)))
+    assert np.array_equal(_bits(_GL_WEIGHTS), _bits(0.5 * w))
+
+
 @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0, "random"])
 @pytest.mark.parametrize("size", [1, 2729, 2730, 2731, 9000])  # blocks of 2730 panels
 def test_gl_panels_match_the_reduceat_reference_bit_for_bit(delta, size):
@@ -548,6 +613,19 @@ def test_make_image_operator_validation(grid):
 def test_make_image_operator_rejects_non_finite_parameters(grid, eps, delta):
     with pytest.raises(ValueError):
         make_image_operator(exponent_field(grid, 2.0), eps, delta, 1.5)
+
+
+def test_make_image_operator_bounds_the_panel_table(grid):
+    # above eps, one table of up to (ln DBL_MAX - ln eps)(alpha + delta)/8 panels
+    edge = 8.0 * PANEL_BUDGET / (math.log(sys.float_info.max) - math.log(0.5)) - 1.5
+    p = exponent_field(grid, 2.0)
+    make_image_operator(p, 0.5, edge * (1.0 - 1e-9), 1.5)
+    for delta in (edge * (1.0 + 1e-9), 1e300):
+        with pytest.raises(ValueError, match="panels"):
+            make_image_operator(p, 0.5, delta, 1.5)
+    # the low branch's tables over [tau0, eps] grow with p + delta
+    with pytest.raises(ValueError, match="panels"):
+        make_image_operator(exponent_field(grid, 1e300), 2.0, 1.0, 1.5)
 
 
 def test_homogeneity_flags(grid):

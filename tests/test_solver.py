@@ -14,9 +14,9 @@ from pxlab import (SolveConfig, build_grid, discrete_energy,
                    integrate, minimize, residual_norm, synthetic_image,
                    uniqueness_experiment, verify_weak_solution)
 from pxlab import solver
-from pxlab.grid import stencil_adjoint
+from pxlab.grid import dot_components, stencil_adjoint
 
-from util import fidelity_src, grid_1d, grid_2d, image_op, power_src, \
+from util import fidelity_src, grid_1d, grid_2d, image_op, power_src, ref_magnitudes, \
     single_phase, two_phase, zero_src
 
 
@@ -200,6 +200,35 @@ def test_refinement_keeps_constant_solution():
         assert u.max() - u.min() <= 1e-12
         vals.append(float(u.mean()))
     assert abs(vals[0] - vals[1]) <= 1e-10
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_gradient_magnitudes_match_the_linalg_norm_bit_for_bit(cols):
+    # signed zeros, subnormals and overflowing squares among ordinary values
+    rng = np.random.default_rng(cols)
+    xi = rng.normal(size=(600, cols)) * 10.0 ** rng.integers(-170, 170, (600, cols))
+    xi[::5] = -0.0
+    xi[1::7, 0] = 0.0
+    xi[2::11, -1] = 5e-324
+    xi[3::13, 0] = -1e300
+    with np.errstate(over="ignore"):
+        got = np.sqrt(dot_components(xi, xi))
+        want = ref_magnitudes(xi)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solver_magnitudes_and_energy_match_the_linalg_norm_bit_for_bit(dim):
+    grid = grid_1d(40) if dim == 1 else grid_2d(12)
+    u = np.random.default_rng(dim).uniform(0.0, 1.0, grid.npoints)
+    u[::3] = -0.0  # flat stretches give zero and signed-zero differences
+    u[1::9] = 0.0
+    state = solver._State(u, grid)
+    ref = ref_magnitudes(discrete_gradient(u, grid))
+    assert np.array_equal(state.s.view(np.uint64), ref.view(np.uint64))
+    fam, src = image_op(grid), fidelity_src(grid.npoints)
+    want = integrate(fam.A_batch(ref), grid) - integrate(src.Fbar_vals(u), grid)
+    assert discrete_energy(fam, src, u, grid) == want
 
 
 def test_residual_norm_helper():

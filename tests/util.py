@@ -157,3 +157,54 @@ def ref_gl_panels(start, width, q, delta):
         f *= _GL_WEIGHTS
         out[blk] = width[blk] * np.add.reduceat(f.ravel(), np.arange(0, f.size, _GL_NODES.size))
     return out
+
+
+# Reference formulations of the exponent-only work of the image primitive and
+# of the solver's gradient magnitudes: per-row coefficient division, a pow
+# per evaluation and np.linalg.norm.  The package's forms must return the
+# same bits.
+
+def ref_series_sum(fam, tau, p):
+    b = fam._series
+    k = np.arange(b.size, dtype=float).reshape(b.shape)
+    c = p + fam.delta
+    sums = np.empty_like(tau)
+    for blk in row_blocks(tau.size, b.shape[1]):
+        tb, cb = tau[blk], c[blk]
+        y = tb ** b.shape[1]
+        lanes = b[-1] / (cb + k[-1])
+        for g in range(b.shape[0] - 2, -1, -1):
+            lanes *= y
+            lanes += b[g] / (cb + k[g])
+        sums[blk] = np.polynomial.polynomial.polyval(tb, lanes, tensor=False)
+    return tau**p * tau**fam.delta * sums
+
+
+def ref_image_phi(fam, s, idx):
+    p = fam.p.values[idx]
+    logs = np.log1p(s) ** fam.delta
+    low = s ** (p - 1.0) * logs
+    high = fam.eps ** (p - fam.alpha) * s ** (fam.alpha - 1.0) * logs
+    return np.where(s <= fam.eps, low, high)
+
+
+def ref_image_dphi(fam, s, idx):
+    p = fam.p.values[idx]
+    logs = np.log1p(s) ** fam.delta
+    dlogs = fam.delta * np.log1p(s) ** (fam.delta - 1.0) / (1.0 + s)
+    low = (p - 1.0) * s ** (p - 2.0) * logs + s ** (p - 1.0) * dlogs
+    high = fam.eps ** (p - fam.alpha) * (
+        (fam.alpha - 1.0) * s ** (fam.alpha - 2.0) * logs
+        + s ** (fam.alpha - 1.0) * dlogs)
+    return np.where(s <= fam.eps, low, high)
+
+
+def ref_magnitudes(xi):
+    return np.linalg.norm(xi, axis=1)
+
+
+def ref_write_csv(path, header, template, columns):
+    """The per-row CSV writer: one %-formatting per line."""
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(template % row for row in zip(*(np.asarray(c).tolist() for c in columns)))
