@@ -30,7 +30,10 @@ defines the batch convention of their evaluations.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +55,40 @@ CATALOG_NAMES = (
 BLOCK_ELEMENTS = 2 ** 15
 # The longest 1-D input integrate sums by math.fsum; past it the same bits cost less certified
 FSUM_MAX_POINTS = 1024
+# glibc's allocator policy for the block temporaries (mallopt parameters and
+# values): the largest mmap threshold its dynamic rule reaches on 64-bit,
+# which mallopt will not exceed, and twice that as the trim threshold, the
+# ratio the rule keeps
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 2 ** 20
+_MALLOC_ENVIRONMENT = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+                       "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_")
+
+
+def _keep_freed_blocks() -> None:
+    """Keep freed block temporaries in the heap for the next block to reuse.
+
+    A block holds several MiB of arrays of about 0.5 MiB each.  Under
+    glibc's defaults they are mapped fresh from the kernel (above the mmap
+    threshold) or trimmed back to it once freed (above the trim threshold),
+    and every block faults its pages in again, zero-filled.  Fixed
+    thresholds of 32 and 64 MiB keep them in the process; no computed bit
+    depends on where an array lives.  Nothing is set off Linux, without
+    glibc's ``mallopt``, or when the environment already tunes malloc.
+    """
+    if sys.platform != "linux" or "malloc" in os.environ.get("GLIBC_TUNABLES", ""):
+        return
+    if any(name in os.environ for name in _MALLOC_ENVIRONMENT):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no C library to load, or not glibc's
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
+_keep_freed_blocks()
 
 
 @dataclass(frozen=True)
@@ -138,7 +175,8 @@ def build_grid(dim: int, n, extent=1.0) -> Grid:
     n : int or sequence of int
         Cells per axis; at least 3 per axis.
     extent : float or sequence of float
-        Axis lengths; all positive.
+        Axis lengths; all positive, with a cell volume that is a finite
+        float of at least ``np.finfo(float).tiny``.
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
@@ -152,13 +190,17 @@ def build_grid(dim: int, n, extent=1.0) -> Grid:
         raise ValueError(f"extent must be positive, got {exts}")
 
     hs = tuple(L / m for L, m in zip(exts, ns))
+    # a quadrature weight that overflows or is subnormal or 0 carries no volume
+    cell = math.prod(hs)
+    if not (math.isfinite(cell) and cell >= np.finfo(float).tiny):
+        raise ValueError(f"cell volume {cell} of extent {exts} is not a normal finite float")
     axes = [(np.arange(m) + 0.5) * h for m, h in zip(ns, hs)]
     if dim == 1:
         points = axes[0][:, None]
     else:
         gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
         points = np.column_stack([gx.ravel(), gy.ravel()])
-    weights = np.full(points.shape[0], float(np.prod(hs)))
+    weights = np.full(points.shape[0], cell)
     return Grid(dim=dim, extent=exts, n=ns, h=hs, quad_points=points, quad_weights=weights)
 
 
@@ -447,12 +489,12 @@ def sample_jet(spec: AnalyticFieldSpec, grid: Grid) -> JetField:
     if spec.name == "affine":
         a0 = float(p.get("a0", 0.0))
         a1 = np.broadcast_to(np.atleast_1d(np.asarray(p["a1"], dtype=float)), (grid.dim,))
-        vals = a0 + x @ a1
+        vals = a0 + dot_components(x, a1)
         return JetField(vals, np.broadcast_to(a1, x.shape).copy())
     if spec.name == "exp-linear":
         k = np.broadcast_to(np.atleast_1d(np.asarray(p["k"], dtype=float)), (grid.dim,))
         scale = float(p.get("scale", 1.0))
-        vals = scale * np.exp(x @ k)
+        vals = scale * np.exp(dot_components(x, k))
         return JetField(vals, scale_components(k, vals))
     if spec.name == "quadratic-bump":
         base = float(p.get("base", 1.0))
@@ -551,7 +593,7 @@ def _noisy_image(spec: AnalyticFieldSpec, grid: Grid, with_grads: bool):
     grads = np.zeros_like(x) if with_grads else None
     for m in range(modes):
         k = kvecs[m] * scale
-        arg = x @ k + phases[m]
+        arg = dot_components(x, k) + phases[m]
         vals += (amp / norm) * coeffs[m] * np.cos(arg)
         if with_grads:
             grads += scale_components(k, (-amp / norm) * coeffs[m] * np.sin(arg))

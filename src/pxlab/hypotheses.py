@@ -215,20 +215,33 @@ class _LadderFold:
         return CheckResult("fail", self.worst, self.least[2], note=note)
 
 
-def _trial_fields(grid: Grid, seed: int):
-    """Trial jets for the H8 energy bounds, including a steep field; one at
-    a time, so that only their gradient norms are held together."""
+def _trial_energies(fam: OperatorFamily, grid: Grid, seed: int) -> tuple:
+    """(label, gradient norms, energy) of each H8 trial field, a steep one
+    included, sampled one at a time so that only the norms are held
+    together, and "" or the reason the first field without a finite energy
+    gives."""
     slope = np.zeros(grid.dim)
     slope[0] = 1.0
-    steep = slope * 100.0
     specs = [
         AnalyticFieldSpec("constant", {"c": 1.0}),
         AnalyticFieldSpec("affine", {"a0": 1.0, "a1": slope}),
         AnalyticFieldSpec("exp-linear", {"k": np.full(grid.dim, 1.5)}),
         AnalyticFieldSpec("noisy-image", {"seed": seed, "base": 1.0, "amp": 0.5}),
-        AnalyticFieldSpec("affine", {"a0": 1.0, "a1": steep}),
+        AnalyticFieldSpec("affine", {"a0": 1.0, "a1": slope * 100.0}),
     ]
-    return (sample_jet(s, grid) for s in specs)
+    trials = []
+    for k, spec in enumerate(specs):
+        label = f"trial field {k} ({spec.name})"
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                t = sample_jet(spec, grid).grad_norms()
+                lhs = integrate(fam.A_batch(t), grid)
+        except (ValueError, OverflowError) as e:
+            return trials, f"{label}: {e}"
+        if not math.isfinite(lhs):
+            return trials, f"{label} has energy {lhs}"
+        trials.append((label, t, lhs))
+    return trials, ""
 
 
 def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
@@ -250,8 +263,11 @@ def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
       (``not-checked`` where c2 is not finite), and the H8-pX probe with
       d0 = 1, d0_tilde = 0, which the profile is expected to fail.
 
-    Every entry gates ``ok`` except the H2 exponent entries and the image
-    H8-pX probe, which are informational.
+    H8 and the probe are ``not-checked``, with a note naming the field,
+    when a trial field cannot be sampled on the grid or its energy or
+    margin is not finite: a huge box overflows exp-linear.  Every entry
+    gates ``ok`` except the H2 exponent entries and the image H8-pX probe,
+    which are informational.
     """
     image = isinstance(fam, ImageFamily)
     if image:
@@ -297,13 +313,22 @@ def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
                         if b is None else h6.result(note=f"fitted b = {b}" if image else ""))
     rep.checks["H7'" if fam.strict_flag else "H7"] = h7.result()
 
-    norms = [v.grad_norms() for v in _trial_fields(grid, seed)]
-    energies = [integrate(fam.A_batch(t), grid) for t in norms]
+    trials, unusable = _trial_energies(fam, grid, seed)
 
     def coercivity(order, c, c_tilde) -> CheckResult:
         # integral A(x, |grad v|) >= c integral |grad v|^order - c_tilde on every field
-        margins = [(lhs - (c * integrate(t ** order, grid) - c_tilde)) / (1.0 + abs(lhs))
-                   for t, lhs in zip(norms, energies)]
+        if unusable:
+            return CheckResult("not-checked", note=unusable)
+        margins = []
+        for label, t, lhs in trials:
+            try:
+                with np.errstate(over="ignore"):
+                    margin = (lhs - (c * integrate(t ** order, grid) - c_tilde)) / (1.0 + abs(lhs))
+            except OverflowError:  # math.fsum's intermediate overflow
+                margin = math.nan
+            if not math.isfinite(margin):
+                return CheckResult("not-checked", note=f"{label} has margin {margin}")
+            margins.append(margin)
         k = int(np.argmin(margins))
         worst = float(margins[k])
         if worst >= -1e-10:

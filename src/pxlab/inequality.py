@@ -176,7 +176,8 @@ def pointwise_gap(fam: OperatorFamily, r: float, point: int,
     grad12 = r * t12 ** (r - 1.0) * g1 - (r - 1.0) * t12**r * g2
     psi1, psi2 = fam.psi(np.sqrt([np.sum(g1 * g1), np.sum(g2 * g2)]),
                          points=[point, point])
-    return float(np.dot(psi1 * g1, g1 - grad21) - np.dot(psi2 * g2, grad12 - g2))
+    return float(np.add.reduce(psi1 * g1 * (g1 - grad21))
+                 - np.add.reduce(psi2 * g2 * (grad12 - g2)))
 
 
 def pointwise_gap_parts(fam: OperatorFamily, r: float,

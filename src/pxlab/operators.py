@@ -394,7 +394,7 @@ def _series_power(a: np.ndarray, delta: float) -> np.ndarray:
     b[0] = 1.0
     for n in range(1, a.size):
         k = np.arange(1, n + 1)
-        b[n] = np.dot(((delta + 1.0) * k - n) * a[1:n + 1], b[n - 1::-1]) / n
+        b[n] = np.add.reduce(((delta + 1.0) * k - n) * a[1:n + 1] * b[n - 1::-1]) / n
     return b
 
 

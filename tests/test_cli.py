@@ -518,6 +518,33 @@ def _reject_constant(name):
     raise ValueError(f"report holds {name}")
 
 
+# boxes whose trial fields overflow (100, 300) or whose cell volume is not a
+# normal float (1e-300 underflows, 1e300 overflows), two-phase [2, 3] on 16x16
+HOSTILE_BOXES = {100.0: 1, 300.0: 1, 1e-300: 2, 1e300: 2}
+
+
+@pytest.mark.parametrize("extent", sorted(HOSTILE_BOXES))
+def test_hostile_box_leaves_h8_not_checked_or_is_rejected(tmp_path, extent):
+    cfg = {"grid": {"dim": 2, "n": 16, "extent": extent},
+           "operator": {"kind": "multiphase", "exponents": [2.0, 3.0], "weights": [1.0, 1.0]},
+           "source": {"kind": "fidelity", "g": 0.3}, "alpha": 1.5,
+           "solver": {"max_iters": 500}}
+    out = tmp_path / "out"
+    code = main(["solve", "--config", _write_cfg(tmp_path, "cfg.json", cfg), "--output", str(out)])
+    assert code == HOSTILE_BOXES[extent]
+    if code == 2:
+        err = json.loads((out / "error.json").read_text(), parse_constant=_reject_constant)
+        assert "cell volume" in err["error"]
+        return
+    assert [p.name for p in out.glob("*.json")] == ["solve_report.json"]
+    # strict JSON: no NaN or Infinity anywhere in the report
+    res = json.loads((out / "solve_report.json").read_text(),
+                     parse_constant=_reject_constant)["results"]
+    h8 = res["gate"]["checks"]["H8-pX"]
+    assert h8["status"] == "not-checked" and "trial field 2 (exp-linear)" in h8["note"]
+    assert not res["gate_ok"]
+
+
 def test_denoise_large_mu_tracks_input(tmp_path):
     # dominant fidelity pins the output to the data on smooth inputs
     n = 12

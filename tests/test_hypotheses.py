@@ -444,8 +444,8 @@ def test_witness_names_the_first_point_of_a_failing_tuple(grid):
 # repeated tuple), with H12-lipschitz read on the closed H12 ladder and the
 # source checked at the points of g_min and g_max
 GATE_DIGESTS = {
-    "solve": "5aacbd95346afa586e3232f7eba9d64906c03f6ce0dce24c994625ebfa19990b",
-    "denoise": "6a4b20fdb680515ae2208046e9eeeae5f2c850e00dd5f9e387f132e499de203d",
+    "solve": "68de7bbdca55c6da89dcca5da68c3fed9db37421b82fbc6f6a59babad0cd49be",
+    "denoise": "0e851c803159b67ee6206ba7f8a061c828f87d232f8bce9bcddd3cfcf8944492",
 }
 
 

@@ -1,11 +1,15 @@
-"""What importing and running the command line loads: every module it adds
-to a bare ``import numpy`` costs start-up time and memory in each run."""
+"""What importing pxlab loads and sets: every module it adds to a bare
+``import numpy`` costs start-up time and memory in each run, and the
+allocator policy it sets keeps freed block temporaries in the process."""
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pxlab
 
@@ -54,7 +58,43 @@ def test_the_command_line_loads_only_numpy_pxlab_and_the_standard_library(tmp_pa
     foreign = [m for m in added if m.split(".")[0] not in sys.stdlib_module_names
                and not _under(m, ("numpy", "pxlab"))]
     assert not foreign
+    # ctypes comes with numpy; ctypes.util's find_library would start subprocesses
+    assert "ctypes.util" not in seen["after"]
     # a solve and a denoise run load none of the test-only or masked-array packages
     assert seen["codes"] == {"solve": 0, "denoise": 0}
     assert not [m for m in seen["after"]
                 if _under(m, ("numpy.ma", "scipy", "mpmath", "hypothesis"))]
+
+
+# 50 rounds of eight 512 KiB arrays, each made and dropped, after one
+# warm-up round; prints the minor page faults the 50 rounds take
+CHURN = """
+import resource
+import numpy as np
+import pxlab
+arrays = [np.ones(65536) for _ in range(8)]
+del arrays
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    arrays = [np.ones(65536) for _ in range(8)]
+    del arrays
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _churn_faults(**tuning):
+    """The faults of CHURN in a child whose only malloc tuning is ``tuning``."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    run = subprocess.run([sys.executable, "-c", CHURN], capture_output=True, text=True,
+                         env=env | {"PYTHONPATH": SRC} | tuning, timeout=120, check=True)
+    return int(run.stdout.split()[-1])
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is glibc's")
+def test_freed_blocks_stay_in_the_process_unless_the_environment_tunes_malloc():
+    # under glibc's defaults every round faults its pages in again: 49 600 in all
+    assert _churn_faults() < 1000
+    # an explicit setting wins, and pxlab leaves it alone
+    assert _churn_faults(MALLOC_TRIM_THRESHOLD_="131072") >= 10_000

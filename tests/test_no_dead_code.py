@@ -78,3 +78,25 @@ def test_every_public_function_and_class_is_read_or_exported(path):
     package_reads = set().union(*(_reads(_tree(p)) for p in PACKAGE.glob("*.py")))
     exported = _imported(_tree(PACKAGE / "__init__.py"))
     assert sorted(public - package_reads - exported) == []
+
+
+# NumPy routes these to BLAS, whose result bits depend on its build, kernel
+# and thread count; the package reduces by ufuncs alone
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def _called_names(func: ast.AST) -> set:
+    """Every name along a called expression: ``np.linalg.norm`` gives np, linalg, norm."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(func)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_no_blas_call_in_the_package():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif isinstance(node, ast.Call) and _called_names(node.func) & BLAS_CALLS:
+                found.append((path.name, node.lineno, ast.unparse(node.func)))
+    assert found == []

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -428,12 +429,12 @@ def test_hvps_per_newton_step_do_not_grow_with_the_grid(command):
 # README solve and denoise problems: Newton steps, HVPs and the SHA-256 of
 # the returned state's bytes
 README_GOLDEN = [
-    ("solve", 16, 3, 6, "cff349b292f443f812522700745daa5c28326016fe40d2c8059f356f957630a2"),
-    ("solve", 32, 3, 6, "5e8003f6dd5ca92bc1a1336da9d273fd31acda970c717fca783df2205ed4aea8"),
-    ("solve", 64, 3, 6, "5d60904d176b4895ec6d5cc28f16e586931357c10c21c81f8591a4f87e311417"),
-    ("denoise", 16, 7, 34, "47cc6e6da9e2f8ace49e4b92d6f868d9e15ec02dce8255354249bfc7208f3058"),
-    ("denoise", 32, 8, 43, "83cd4762aa83040cfd57f5b30a1360c93c152c838f785bbaa36d032c99b652d9"),
-    ("denoise", 64, 9, 52, "7a51b5796b5e8a2bc3bbd19b5e0881afe9dc4e8996ab8b26c6ba947511846233"),
+    ("solve", 16, 3, 6, "5532979a7f12835dcafabab17092695861ad27a2fb6029c24c031401f347394d"),
+    ("solve", 32, 3, 6, "9d8103a9e8284a8a2efa9db55554b97cbfa506fa89b6f54ce6b87ff71827fef7"),
+    ("solve", 64, 3, 6, "d172382594b3ea1346cea8a88aad8117e2cd0ee3eaaff25e0f35bea8da4efa7a"),
+    ("denoise", 16, 7, 34, "f54525d1cc5fe48c0d88b580b76d4014139c270e2aa272f177820071d36803e8"),
+    ("denoise", 32, 8, 43, "20e658fee8538b3f7defff7aa3938b5b41e708ab0b32f9e75dba739edff40f02"),
+    ("denoise", 64, 9, 52, "d5759baf95b27f414b15bddc93d89e1f5b695359523e01a31e1015759fb3ff61"),
 ]
 
 
@@ -465,8 +466,9 @@ def test_single_phase_p15_image_fidelity_converges(n, seed):
     assert all(np.diff(res.energy_history) <= 0.0)
 
 
-# solves whose iterates once depended on the BLAS thread count: the largest
-# p = 1.5 verdict, and the README denoise whose HVPs went through BLAS
+# solves whose iterates once depended on the BLAS thread count or kernel:
+# the largest p = 1.5 verdict, and the README denoise whose HVPs went
+# through BLAS and whose inputs (synthetic image, series coefficients) did
 THREAD_PROBES = {"p15-128-3": lambda: _p15_problem(128, 3),
                  "denoise-64": lambda: _readme_problem("denoise", 64)}
 
@@ -481,24 +483,27 @@ def _thread_probe_lines():
 
 
 def test_iterates_do_not_depend_on_the_blas_thread_count():
-    # OpenBLAS reads its thread count when NumPy loads, so each count gets
-    # a child process of its own
+    # OpenBLAS reads its thread count and kernel when NumPy loads, so each
+    # setting gets a child process of its own; on x86-64 one child runs the
+    # oldest kernel, Prescott, which has no FMA
     here = Path(__file__).resolve().parent
     code = ("import sys; sys.path[:0] = sys.argv[1:]; import test_solver; "
             "print(test_solver._thread_probe_lines())")
+    settings = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "4"}]
+    if platform.machine() in ("x86_64", "AMD64"):
+        settings.append({"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Prescott"})
     procs = [subprocess.Popen([sys.executable, "-c", code, str(here.parent / "src"), str(here)],
-                              env=os.environ | {"OPENBLAS_NUM_THREADS": threads},
-                              stdout=subprocess.PIPE, text=True)
-             for threads in ("1", "4")]
+                              env=os.environ | setting, stdout=subprocess.PIPE, text=True)
+             for setting in settings]
     try:
         outs = [p.communicate(timeout=300)[0] for p in procs]
     finally:
         for p in procs:
             p.kill()
-    assert [p.returncode for p in procs] == [0, 0]
+    assert [p.returncode for p in procs] == [0] * len(procs)
     words = outs[0].split()  # name, converged and digest of each probe
     assert words[0::3] == list(THREAD_PROBES) and words[1::3] == ["True"] * len(THREAD_PROBES)
-    assert outs[0] == outs[1]
+    assert outs[1:] == outs[:1] * (len(outs) - 1)
 
 
 def test_newton_steps_do_not_grow_with_the_grid():
