@@ -30,11 +30,15 @@ the values at each g.
 
 When a family names many points (a continuous exponent or source
 coefficients), the ladders are evaluated in blocks of at most
-``grid.BLOCK_ELEMENTS`` values, and each check folds its blocks into the
-result a single evaluation over every row would give: the same worst
-value, verdict, note and witness (the first in row-major order among
-equal slacks).  Memory then grows with the number of points, not with
-SAMPLES times it.
+``grid.BLOCK_ELEMENTS`` values.  Each check keeps its blocks' extremes
+(a ladder check's slacks only from its failing blocks) and where they
+lie, and reduces them once with NumPy, so that it gives what a single
+evaluation over every row would: the same worst value, verdict, note and
+witness (the first in row-major order among equal slacks).  Memory then
+grows with the number of points, not with SAMPLES times it.  A ladder
+check whose rows hold a value that is not finite (Phi = s^299 overflows
+past s = 10.7 at p = 300) is ``not-checked``, its note naming the first
+such point and rung in row-major order.
 """
 
 from __future__ import annotations
@@ -117,71 +121,89 @@ def _log_ladder(rng, lo=1e-6, hi=1e3):
     return np.sort(np.exp(rng.uniform(np.log(lo), np.log(hi), size=SAMPLES)))
 
 
-def _further(new: float, old, larger: bool) -> bool:
-    """Whether ``new`` replaces ``old`` (None before the first block) as the
-    running max (``larger``) or min of a fold; NaN wins, as in np.max and
-    np.min."""
-    if old is None:
-        return True
-    if math.isnan(old):
-        return False
-    return math.isnan(new) or (new > old if larger else new < old)
+def _first(vals, rows, larger=False) -> tuple:
+    """Per leading index of a block (leading axes, rows, ladder): the least
+    value, or the greatest when ``larger``, and the point (of ``rows``) and
+    the rung of the first that holds it in row-major order, NaN first, as
+    np.argmin and np.argmax pick."""
+    flat = vals.reshape(-1, vals.shape[-2] * vals.shape[-1])
+    k = np.argmax(flat, axis=1) if larger else np.argmin(flat, axis=1)
+    row, rung = np.divmod(k, vals.shape[-1])
+    return flat[np.arange(k.size), k], rows[row], rung
 
 
-class _Peak:
-    """The largest value of blocks fed in row-major order, with a witness at
-    the first position that holds it, as np.max and np.argmax give over the
-    blocks stacked.  ``witness(k)`` names flat position k of a block.
-    Every value must be at most STRICT_MARGIN."""
+class _Fold:
+    """Rows sampled along a ladder, fed a block of rows at a time: leading
+    axes, then the rows, whose points are ``rows``, then the ladder.  Blocks
+    come in row order, so the first extreme in row-major order of the rows
+    stacked is the first of the blocks' extremes per leading index, taken
+    in (leading index, block) order.  Rows that hold a value that is not
+    finite leave the check ``not-checked``."""
 
-    def __init__(self):
-        self.value = None
-        self.witness = None
-        self.within = True
+    def __init__(self, ladder):
+        self.ladder, self.kept, self.unfinite = ladder, [], []
 
-    def add(self, vals: np.ndarray, witness) -> None:
-        value = float(vals.max())
-        if _further(value, self.value, larger=True):
-            self.value, self.witness = value, witness(int(np.argmax(vals)))
-        self.within &= bool(np.all(vals <= STRICT_MARGIN))
+    def _check_finite(self, mat, rows) -> None:
+        if not np.all(np.isfinite(mat)):
+            self.unfinite.append(_first(~np.isfinite(mat), rows, larger=True))
+
+    @staticmethod
+    def _reduce(kept, larger=False) -> tuple:
+        """The first extreme of the kept blocks' extremes in (leading index,
+        block) order, with its point and rung."""
+        vals, points, rungs = (np.array(c).T for c in zip(*kept))
+        k = np.unravel_index(np.argmax(vals) if larger else np.argmin(vals), vals.shape)
+        return float(vals[k]), int(points[k]), int(rungs[k])
+
+    def _not_checked(self) -> CheckResult:
+        _, point, rung = self._reduce(self.unfinite, larger=True)
+        return CheckResult("not-checked", note=f"value not finite at point {point},"
+                                               f" s = {float(self.ladder[rung])}")
+
+
+class _Peak(_Fold):
+    """The largest value of the rows, with a witness (point, rung) at the
+    first position that holds it, as np.max and np.argmax give over the
+    blocks stacked.  Every value must be at most STRICT_MARGIN."""
+
+    def add(self, vals, rows) -> None:
+        self._check_finite(vals, rows)
+        self.kept.append(_first(vals, rows, larger=True))
 
     def result(self, note: str = "") -> CheckResult:
-        """Pass when every value is within its margin."""
-        if self.within:
-            return CheckResult("pass", self.value, None, note=note)
-        return CheckResult("fail", self.value, self.witness, note=note)
+        if self.unfinite:
+            return self._not_checked()
+        worst, point, rung = self._reduce(self.kept, larger=True)
+        if worst <= STRICT_MARGIN:
+            return CheckResult("pass", worst, None, note=note)
+        return CheckResult("fail", worst, (point, float(self.ladder[rung])), note=note)
 
 
-class _LadderFold:
-    """Classify rows sampled along an increasing ladder as monotone or not,
-    fed a block of rows at a time.
+class _LadderFold(_Fold):
+    """Classify rows sampled along an increasing ladder as monotone or not.
 
-    ``add(mat, rows, scale)`` takes a block: leading axes of ``mat``, then
-    its rows, whose points are ``rows``, then the ladder.  Blocks come in
-    row order, and the result equals one check over all of them stacked
-    along the row axis.  Consecutive steps are compared against a margin of
-    STRICT_MARGIN times the larger magnitude of the two values (of
-    ``scale`` when given, for rows that are differences of larger terms).
-    ``worst`` is the smallest step of an increasing check and the largest
-    of a decreasing one.  A row set that is monotone within the margin but
-    not strictly beyond it carries the note "non-strict", pass or fail.  A
-    failing check's witness names the point and the failing pair of the
-    ladder at the smallest slack, the first in row-major order among equal
-    slacks.
+    ``add(mat, rows, scale)`` takes a block of rows, and the result equals
+    one check over all of them stacked along the row axis.  Consecutive
+    steps are compared against a margin of STRICT_MARGIN times the larger
+    magnitude of the two values (of ``scale`` when given, for rows that are
+    differences of larger terms).  ``worst`` is the smallest step of an
+    increasing check and the largest of a decreasing one.  A row set that is
+    monotone within the margin but not strictly beyond it carries the note
+    "non-strict", pass or fail.  A failing check's witness names the point
+    and the failing pair of the ladder at the smallest slack, the first in
+    row-major order among equal slacks.
     """
 
     def __init__(self, ladder, *, decreasing: bool, strict: bool):
-        self.ladder, self.decreasing, self.strict = ladder, decreasing, strict
-        self.worst = None
+        super().__init__(ladder)
+        self.decreasing, self.strict = decreasing, strict
         self.strict_ok = self.loose_ok = True
-        self.rows_seen = 0
-        self.least = None  # (slack, position, witness) of the smallest slack
+        self.worst = []
 
     def add(self, mat, rows, scale=None) -> None:
+        self._check_finite(mat, rows)
         steps = np.diff(mat, axis=-1)
-        worst = float(steps.max() if self.decreasing else steps.min())
-        if _further(worst, self.worst, larger=self.decreasing):
-            self.worst = worst
+        self.worst.append(steps.max() if self.decreasing else steps.min())
         if self.decreasing:
             np.negative(steps, out=steps)
         scale = np.abs(mat) if scale is None else scale
@@ -191,28 +213,21 @@ class _LadderFold:
         loose_ok = strict_ok or bool(np.all(steps >= -margins))
         self.strict_ok &= strict_ok
         self.loose_ok &= loose_ok
-        offset = self.rows_seen
-        self.rows_seen += mat.shape[-2]
-        if strict_ok if self.strict else loose_ok:
-            return  # a passing block holds no slack as small as a failing one
-        slack = steps - margins if self.strict else steps + margins
-        idx = np.unravel_index(np.argmin(slack), slack.shape)
-        value = float(slack[idx])
-        position = idx[:-2] + (offset + idx[-2], idx[-1])
-        if self.least is not None:
-            old, old_position, _ = self.least
-            tie = value == old or (math.isnan(value) and math.isnan(old))
-            if not (_further(value, old, larger=False) or tie and position < old_position):
-                return
-        j = idx[-1]
-        self.least = (value, position,
-                      (int(rows[idx[-2]]), float(self.ladder[j]), float(self.ladder[j + 1])))
+        if not (strict_ok if self.strict else loose_ok):
+            # only a failing block holds a slack as small as the witness's
+            self.kept.append(_first(steps - margins if self.strict else steps + margins, rows))
 
     def result(self) -> CheckResult:
+        if self.unfinite:
+            return self._not_checked()
+        # the first block's among equal extremes, as the sign of a zero differs
+        worst = float(self.worst[np.argmax(self.worst) if self.decreasing else np.argmin(self.worst)])
         note = "non-strict" if self.loose_ok and not self.strict_ok else ""
         if self.strict_ok if self.strict else self.loose_ok:
-            return CheckResult("pass", self.worst, None, note=note)
-        return CheckResult("fail", self.worst, self.least[2], note=note)
+            return CheckResult("pass", worst, None, note=note)
+        _, point, j = self._reduce(self.kept)
+        return CheckResult("fail", worst, (point, float(self.ladder[j]), float(self.ladder[j + 1])),
+                           note=note)
 
 
 def _trial_energies(fam: OperatorFamily, grid: Grid, seed: int) -> tuple:
@@ -297,7 +312,7 @@ def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
 
     ladder = _log_ladder(rng)
     h5 = _LadderFold(ladder, decreasing=False, strict=True)
-    h6 = _Peak()
+    h6 = _Peak(ladder)
     h7 = _LadderFold(ladder, decreasing=False, strict=fam.strict_flag)
     for blk in row_blocks(reps.size, SAMPLES):
         rows = reps[blk]
@@ -305,8 +320,7 @@ def check_operator_hypotheses(fam: OperatorFamily, grid: Grid,
         h5.add(phi, rows)
         if b is not None:
             bound = a + b * ladder[None, :] ** (fam.exponent.values[rows, None] - 1.0)
-            h6.add((phi - bound) / np.maximum(1.0, bound),
-                   lambda k: (int(rows[k // SAMPLES]), float(ladder[k % SAMPLES])))
+            h6.add((phi - bound) / np.maximum(1.0, bound), rows)
         h7.add(phi / ladder[None, :] ** (fam.r_order - 1.0), rows)
     rep.checks["H5"] = h5.result()
     rep.checks["H6"] = (CheckResult("not-checked", note=f"growth constant not located: {unlocated}")

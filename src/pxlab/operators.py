@@ -189,8 +189,10 @@ class ImageFamily(OperatorFamily):
         cap = np.full_like(self._p_distinct, min(self.eps, self._tau0))
         self._series_top = self._series_sum(cap, self._p_distinct)
         self._tail_scale = self.eps ** (self._p_distinct - self.alpha)
-        # the same factor per point, for Phi and its derivative
-        self._point_scale = self._tail_scale[np.searchsorted(self._p_distinct, p.values)]
+        # each point's index among the distinct p, and its factor for Phi
+        # and its derivative
+        self._point_u = np.searchsorted(self._p_distinct, p.values)
+        self._point_scale = self._tail_scale[self._point_u]
 
     def _phi(self, s, idx):
         p = self.p.values[idx]
@@ -211,46 +213,33 @@ class ImageFamily(OperatorFamily):
         return np.where(s <= self.eps, low, high)
 
     def _A(self, t, idx):
-        # Each integral depends only on its limit and its exponent, so the
-        # limits are sorted, the first pair of each run of equal adjacent
-        # (t, p) is integrated, and the values are scattered back: one float
-        # argsort serves every exponent field, and a constant exponent
-        # integrates each distinct t exactly once, with no gather of p.
-        shape = t.shape
+        # Each integral depends only on its limit and its exponent's index u,
+        # so the limits are sorted, the first pair of each run of equal
+        # adjacent (t, u) is integrated, and the values are scattered back.
+        # Every step below is elementwise, a reduction over one row's own
+        # terms or a lookup of a value of p alone or of a panel table entry,
+        # so each value depends only on its own (t, u), whatever the batch.
+        eps, delta, tau0 = self.eps, self.delta, self._tau0
         order = np.argsort(t, axis=None)
         ts = t.ravel()[order]
+        us = np.broadcast_to(self._point_u[idx], t.shape).ravel()[order]
         first = np.empty(ts.size, dtype=bool)
         first[:1] = True
         np.not_equal(ts[1:], ts[:-1], out=first[1:])
-        if self._p_distinct.size == 1:
-            ts = ts[first]
-            ps = np.full(ts.size, self._p_distinct[0])
-        else:
-            ps = self.p.values[np.broadcast_to(idx, shape).ravel()[order]]
-            first[1:] |= ps[1:] != ps[:-1]
-            ts, ps = ts[first], ps[first]
-        vals = self._A_pairs(ts, ps)
-        out = np.empty(order.size)
-        out[order] = vals[np.cumsum(first) - 1]
-        return out.reshape(shape)
-
-    def _A_pairs(self, t, p):
-        # Every step below is elementwise, a reduction over one row's own terms
-        # or a lookup of a value of p alone or of a panel table entry, which
-        # depends on its exponent and index only, so each value depends only
-        # on its own (t, p), whatever the batch.
-        eps, delta, tau0 = self.eps, self.delta, self._tau0
-        u = np.searchsorted(self._p_distinct, p)
-        # above eps the x-dependence factors out of the integral
-        tail = self._tail_scale[u] * _log_panels(eps, math.inf, t, np.array([self.alpha]), 0, delta)
+        first[1:] |= us[1:] != us[:-1]
+        ts, us = ts[first], us[first]
         # [0, min(t, eps, tau0)] by the series, looked up from min(eps, tau0) on
-        out = self._series_top[u]
-        low = t < min(eps, tau0)
-        out[low] = self._series_sum(t[low], p[low])
+        vals = self._series_top[us]
+        low = ts < min(eps, tau0)
+        vals[low] = self._series_sum(ts[low], self._p_distinct[us[low]])
         # the rest of the low branch, [tau0, min(t, eps)]
         if eps > tau0:
-            out += _log_panels(tau0, eps, t, self._p_distinct, u, delta)
-        return out + tail
+            vals += _log_panels(tau0, eps, ts, self._p_distinct, us, delta)
+        # above eps the x-dependence factors out of the integral
+        vals += self._tail_scale[us] * _log_panels(eps, math.inf, ts, np.array([self.alpha]), 0, delta)
+        out = np.empty(order.size)
+        out[order] = vals[np.cumsum(first) - 1]
+        return out.reshape(t.shape)
 
     def _series_sum(self, tau, p):
         # s^(p-1) ln^delta(1+s) = s^(p-1+delta) g(s)^delta over [0, tau_i],

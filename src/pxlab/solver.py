@@ -450,16 +450,18 @@ def verify_weak_solution(fam: OperatorFamily, src: SourceFamily, U, grid: Grid,
 
 
 def _random_test_function(rng, grid: Grid, k: int) -> np.ndarray:
+    # slopes and rates per unit of each axis's extent, as the noisy image's
+    # frequencies, so that no box overflows a test function
     kind = k % 4
     if kind == 0:
         spec = AnalyticFieldSpec("constant", {"c": rng.uniform(0.5, 2.0)})
     elif kind == 1:
         spec = AnalyticFieldSpec("affine", {
             "a0": rng.uniform(0.5, 1.5),
-            "a1": rng.uniform(-1.0, 1.0, size=grid.dim)})
+            "a1": rng.uniform(-1.0, 1.0, size=grid.dim) / np.asarray(grid.extent)})
     elif kind == 2:
         spec = AnalyticFieldSpec("exp-linear", {
-            "k": rng.uniform(-1.5, 1.5, size=grid.dim)})
+            "k": rng.uniform(-1.5, 1.5, size=grid.dim) / np.asarray(grid.extent)})
     else:
         spec = AnalyticFieldSpec("noisy-image", {
             "seed": int(rng.integers(0, 2**31)), "base": 1.0, "amp": 0.5})

@@ -458,8 +458,14 @@ def test_reports_reproducible_apart_from_timestamp(tmp_path):
 
 _FIDELITY = _SMALL | {"source": {"kind": "fidelity", "g": 0.5}}
 
-# command, config and exit code of a tiny run of every command, and of two
-# runs that fail a check
+_TWO_PHASE = {"operator": {"kind": "multiphase", "exponents": [2.0, 3.0], "weights": [1.0, 1.0]},
+              "source": {"kind": "fidelity", "g": 0.3}, "alpha": 1.5}
+
+# command, config and exit code of a tiny run of every command, and of runs
+# that fail a check: two out of iterations, one whose profile overflows on
+# the gate's ladder (Phi = s^299 past s = 10.7) and two boxes whose weak-form
+# test functions are scaled to the box while the gate's H8 trial fields
+# overflow
 REPORT_RUNS = {
     "check-hypotheses": ("check-hypotheses", _SMALL, 0),
     "inequality": ("inequality", {"trials": 200}, 0),
@@ -472,6 +478,11 @@ REPORT_RUNS = {
     "denoise-out-of-iterations": ("denoise", {"denoise": {"n": 6},
                                               "solver": {"max_iters": 0}}, 1),
     "fixtures": ("fixtures", {"n": 16}, 0),
+    "solve-p300": ("solve", {"grid": {"dim": 1, "n": 8}, "operator": {"kind": "single", "p": 300.0},
+                             "source": {"kind": "fidelity", "g": 0.5}, "init": 0.3}, 1),
+    "solve-thin-box": ("solve", _TWO_PHASE | {"grid": {"dim": 2, "n": [3, 40],
+                                                       "extent": [1e-3, 1e3]}}, 1),
+    "solve-huge-box": ("solve", _TWO_PHASE | {"grid": {"dim": 1, "n": 8, "extent": 1e300}}, 1),
 }
 
 
@@ -483,7 +494,8 @@ def test_every_command_writes_one_report_that_matches_its_exit_code(tmp_path, ca
                  "--output", str(out)])
     assert code == expected
     assert [p.name for p in out.glob("*.json")] == [f"{command}_report.json"]
-    rep = json.loads((out / f"{command}_report.json").read_text())
+    # strict JSON: no NaN or Infinity anywhere in the report
+    rep = json.loads((out / f"{command}_report.json").read_text(), parse_constant=_reject_constant)
     assert rep["command"] == command and rep["passed"] == (code == 0)
 
 

@@ -8,7 +8,7 @@ import pytest
 import pxlab.grid
 from pxlab import (check_operator_hypotheses, check_source_hypotheses,
                    exponent_field, hypotheses, make_image_operator, synthetic_image)
-from pxlab.hypotheses import SAMPLES, _LadderFold, gate
+from pxlab.hypotheses import SAMPLES, _LadderFold, _Peak, gate
 from pxlab.operators import MultiphaseFamily, OperatorFamily
 from pxlab.sources import FidelitySource
 
@@ -507,6 +507,25 @@ def test_ladder_fold_ties_take_the_first_in_row_major_order():
             for lo in range(0, 2, width):
                 fold.add(mat[:, lo:lo + width], np.arange(lo, lo + width))
             assert fold.result().witness == witness
+
+
+def test_folds_with_a_value_that_is_not_finite_are_not_checked():
+    # stacked checks: the second stack holds inf at row 0 and the first a NaN
+    # at the end of row 1, which comes first in row-major order, in one block
+    # and with a row per block; the note names its point and rung
+    mat = np.array([[[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, np.nan]],
+                    [[0.0, np.inf, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]]])
+    points = np.array([7, 9])
+    for width in (2, 1):
+        folds = [_LadderFold(LADDER, decreasing=False, strict=True), _Peak(LADDER)]
+        with np.errstate(invalid="ignore"):
+            for fold in folds:
+                for lo in range(0, 2, width):
+                    fold.add(mat[:, lo:lo + width], points[lo:lo + width])
+        for fold in folds:
+            res = fold.result()
+            assert (res.status, res.worst, res.witness) == ("not-checked", 0.0, None)
+            assert res.note == "value not finite at point 9, s = 4.0"
 
 
 class SteepAboveOne(FidelitySource):

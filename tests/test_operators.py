@@ -8,6 +8,7 @@ import pytest
 import scipy.integrate
 
 import pxlab.grid
+import pxlab.operators
 from pxlab import (ExponentField, check_homogeneity, exponent_field,
                    image_coercivity_constants, image_growth_constant,
                    make_image_operator, make_multiphase)
@@ -153,11 +154,16 @@ def test_image_primitive_integrates_each_distinct_pair_once(grid, monkeypatch):
     # order and scatters the results; every integral depends only on its own
     # limit and exponent, so the result equals integrating every point on
     # its own, bit for bit.  A constant exponent, here with repeated and
-    # zero limits, integrates each distinct t exactly once.
+    # zero limits, integrates each distinct t exactly once: the panels above
+    # eps see every integrated limit.
     seen = []
-    inner = ImageFamily._A_pairs
-    monkeypatch.setattr(ImageFamily, "_A_pairs",
-                        lambda self, t, p: seen.append(t.copy()) or inner(self, t, p))
+
+    def recorded(lo, hi, t, qs, u, delta):
+        if hi == math.inf:
+            seen.append(t.copy())
+        return _log_panels(lo, hi, t, qs, u, delta)
+
+    monkeypatch.setattr(pxlab.operators, "_log_panels", recorded)
     rng = np.random.default_rng(5)
     for case in range(30):
         if case % 2:
@@ -173,6 +179,23 @@ def test_image_primitive_integrates_each_distinct_pair_once(grid, monkeypatch):
             assert np.array_equal(np.sort(np.concatenate(seen)), np.unique(t))
         single = [_A_at(fam, i, float(t[i])) for i in range(grid.npoints)]
         assert np.array_equal(got, single)
+
+
+def test_image_primitive_takes_a_point_index_at_its_own_shape(grid):
+    # the index broadcasts against the limits, (rows, 1) against (1, k) and
+    # (k,) against (rows, k), with equal limits under different exponents;
+    # each value is the one-point value, bit for bit
+    p = exponent_field(grid, np.resize([1.7, 2.0, 2.6, 2.0], grid.npoints))
+    fam = make_image_operator(p, 0.9, 1.3, 1.5)
+    t = np.array([0.0, 0.2, 0.7, 0.7, 3.0])
+    cases = [(t[None, :], np.arange(grid.npoints)[:, None]),
+             (np.array([np.full(5, 0.7), [0.2, 0.7, 0.2, 3.0, 0.0]]), np.array([0, 1, 2, 3, 1]))]
+    for limits, points in cases:
+        got = fam.A_batch(limits, points)
+        lims, pts = np.broadcast_arrays(limits, points)
+        assert got.shape == lims.shape
+        single = [_A_at(fam, int(i), float(v)) for i, v in zip(pts.ravel(), lims.ravel())]
+        assert np.array_equal(got.ravel(), single)
 
 
 def _quad_reference(p, eps, delta, alpha, t):
