@@ -343,15 +343,39 @@ class PointFamily:
 
         The hypothesis validators read the family only at these points, and
         a witness names one of them: the first point of each distinct tuple
-        of ``params``, compared by bits, stands for all of its points.  One
-        stable lexsort and a compare of adjacent rows cost several times
-        less than ``np.unique(..., axis=0)`` on all-distinct tuples.
+        of ``params``, compared by bits, stands for all of its points.
         """
-        keys = np.column_stack(self.params).astype(float, copy=False).view(np.uint64)
-        order = np.lexsort(keys.T)  # stable: equal rows stay in point order
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+        order, first = self._tuple_runs()
         return np.sort(order[first])
+
+    def tuples(self) -> tuple:
+        """(firsts, index): the default ``gate_points()``, the first point
+        of each distinct tuple of ``params``, and each point's position
+        among them.  A map that depends on the point only through its tuple
+        takes at point i the value it takes at ``firsts[index[i]]``."""
+        order, first = self._tuple_runs()
+        heads = order[first]
+        by_point = np.argsort(heads)
+        rank = np.empty(heads.size, dtype=np.intp)
+        rank[by_point] = np.arange(heads.size)
+        index = np.empty_like(order)
+        index[order] = rank[np.cumsum(first) - 1]
+        return heads[by_point], index
+
+    def _tuple_runs(self) -> tuple:
+        """The points sorted stably by tuple of ``params`` (compared by
+        bits), and where each run of equal tuples starts in that order.
+        One lexsort and a compare of neighbours, one key at a time (np.any
+        over a short axis costs a call per point), cost several times less
+        than ``np.unique(..., axis=0)`` on all-distinct tuples."""
+        keys = [np.asarray(p, dtype=float).view(np.uint64) for p in self.params]
+        order = np.lexsort(keys)  # stable: equal tuples stay in point order
+        first = np.zeros(order.size, dtype=bool)
+        first[0] = True
+        for key in keys:
+            key = key[order]
+            first[1:] |= key[1:] != key[:-1]
+        return order, first
 
 
 def discrete_gradient(u, grid: Grid) -> np.ndarray:

@@ -200,11 +200,12 @@ def _hessian(fam: OperatorFamily, src: SourceFamily, st: _State, symbol, grid: G
     diag = -grid.quad_weights * src.fbar_prime_vals(u_f)
 
     def apply(v):
-        dv = discrete_gradient(v, grid).T.copy()
-        flux = np.empty_like(dv)
-        for k in range(grid.dim):
-            flux[k] = sum((jac[k, l] * dv[l] for l in range(1, grid.dim)), jac[k, 0] * dv[0])
-        return stencil_adjoint(flux.T, grid) + diag * v.ravel()
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _dot
+            dv = discrete_gradient(v, grid).T.copy()
+            flux = np.empty_like(dv)
+            for k in range(grid.dim):
+                flux[k] = sum((jac[k, l] * dv[l] for l in range(1, grid.dim)), jac[k, 0] * dv[0])
+            return stencil_adjoint(flux.T, grid) + diag * v.ravel()
 
     c = float(np.mean(sum(jac[k, k] for k in range(grid.dim)))) / grid.dim
     # mean(diag) is H's exact curvature along the constants (D 1 = 0); the
@@ -226,8 +227,12 @@ def residual_norm(res, grid: Grid) -> float:
 
 def _dot(a, b) -> float:
     """a . b by NumPy's pairwise sum, the solver's one reduction: no BLAS
-    call, so its bits do not depend on the BLAS thread count."""
-    return float(np.add.reduce(a * b))
+    call, so its bits do not depend on the BLAS thread count.  A product
+    past the double range gives inf without a warning: what it feeds is
+    checked where it is used (a Newton direction that is not finite ends
+    the solve with a note)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.add.reduce(a * b))
 
 
 def _truncated_cg(hvp, precond, g, eta):

@@ -461,11 +461,16 @@ _FIDELITY = _SMALL | {"source": {"kind": "fidelity", "g": 0.5}}
 _TWO_PHASE = {"operator": {"kind": "multiphase", "exponents": [2.0, 3.0], "weights": [1.0, 1.0]},
               "source": {"kind": "fidelity", "g": 0.3}, "alpha": 1.5}
 
+_P300 = {"grid": {"dim": 1, "n": 8}, "operator": {"kind": "single", "p": 300.0},
+         "source": {"kind": "fidelity", "g": 0.5}, "init": 0.3}
+
 # command, config and exit code of a tiny run of every command, and of runs
-# that fail a check: two out of iterations, one whose profile overflows on
-# the gate's ladder (Phi = s^299 past s = 10.7) and two boxes whose weak-form
-# test functions are scaled to the box while the gate's H8 trial fields
-# overflow
+# that fail a check: two out of iterations, two whose profile overflows on
+# the gate's ladder (Phi = s^299 past s = 10.7; check-hypotheses also
+# samples the homogeneity past the double range), two whose source weight
+# (fidelity mu or power r1 = 1e300) overflows the solver's products, and two
+# boxes whose weak-form test functions are scaled to the box while the
+# gate's H8 trial fields overflow
 REPORT_RUNS = {
     "check-hypotheses": ("check-hypotheses", _SMALL, 0),
     "inequality": ("inequality", {"trials": 200}, 0),
@@ -478,14 +483,19 @@ REPORT_RUNS = {
     "denoise-out-of-iterations": ("denoise", {"denoise": {"n": 6},
                                               "solver": {"max_iters": 0}}, 1),
     "fixtures": ("fixtures", {"n": 16}, 0),
-    "solve-p300": ("solve", {"grid": {"dim": 1, "n": 8}, "operator": {"kind": "single", "p": 300.0},
-                             "source": {"kind": "fidelity", "g": 0.5}, "init": 0.3}, 1),
+    "solve-p300": ("solve", _P300, 1),
+    "check-hypotheses-p300": ("check-hypotheses", _P300, 1),
+    "solve-huge-mu": ("solve", _TWO_PHASE | {
+        "grid": {"dim": 2, "n": 16}, "source": {"kind": "fidelity", "g": 0.3, "mu": 1e300}}, 1),
+    "solve-huge-r1": ("solve", _TWO_PHASE | {
+        "grid": {"dim": 2, "n": 16}, "source": {"kind": "power", "r1": 1e300}}, 1),
     "solve-thin-box": ("solve", _TWO_PHASE | {"grid": {"dim": 2, "n": [3, 40],
                                                        "extent": [1e-3, 1e3]}}, 1),
     "solve-huge-box": ("solve", _TWO_PHASE | {"grid": {"dim": 1, "n": 8, "extent": 1e300}}, 1),
 }
 
 
+@pytest.mark.filterwarnings("error")  # overflow is reported, never printed
 @pytest.mark.parametrize("case", sorted(REPORT_RUNS))
 def test_every_command_writes_one_report_that_matches_its_exit_code(tmp_path, case):
     command, config, expected = REPORT_RUNS[case]

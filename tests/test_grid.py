@@ -8,8 +8,8 @@ import pxlab.grid
 from pxlab import (AnalyticFieldSpec, JetField, alpha_root_jet,
                    build_grid, discrete_gradient, integrate, jet_linear,
                    sample_jet, sample_values)
-from pxlab.grid import (_certified_row_sums, dct, dot_components, idct, scale_components,
-                        stencil_adjoint, stencil_symbol)
+from pxlab.grid import (PointFamily, _certified_row_sums, dct, dot_components, idct,
+                        scale_components, stencil_adjoint, stencil_symbol)
 
 from util import (POSITIVE_SPECS, ref_dct, ref_discrete_gradient, ref_dot_components,
                   ref_idct, ref_scale_components, ref_stencil_adjoint)
@@ -439,3 +439,27 @@ def test_jet_linear_and_alpha_root():
     assert np.allclose(root.grads[:, 0], np.exp(x), rtol=1e-14)
     with pytest.raises(ValueError):
         alpha_root_jet(jet_linear(1.0, w, -10.0, v), 2.0)
+
+
+@pytest.mark.parametrize("kind", ["one", "distinct", "mixed", "signed-zero"])
+def test_tuples_index_every_point_to_the_first_point_of_its_tuple(kind):
+    # against a dict of tuples by bits, filled in point order: the first
+    # points are the default gate points, and each point's index names the
+    # first point of its own tuple
+    rng = np.random.default_rng(4)
+    n = 300
+    params = {
+        "one": [np.full(n, 2.0), np.full(n, 1.0)],
+        "distinct": [rng.uniform(1.5, 3.0, n), rng.uniform(0.5, 2.0, n)],
+        "mixed": [rng.choice([1.7, 2.0, 2.6], n), rng.choice([0.5, 1.0], n)],
+        "signed-zero": [rng.choice([0.0, -0.0, 1.0], n)],
+    }[kind]
+    fam = PointFamily(n, params)
+    firsts, index = fam.tuples()
+    seen, want = {}, []
+    for i in range(n):
+        key = tuple(np.array([p[i] for p in params]).view(np.uint64).tolist())
+        want.append(seen.setdefault(key, len(seen)))
+    assert np.array_equal(firsts, [i for i in range(n) if want.index(want[i]) == i])
+    assert np.array_equal(index, want)
+    assert np.array_equal(fam.gate_points(), firsts)

@@ -142,7 +142,7 @@ def ref_scale_components(g, s, op=np.multiply):
 
 
 def ref_gl_panels(start, width, q, delta):
-    """The Gauss-Legendre panels laid out panel-major, each panel's 12 node
+    """The Gauss-Legendre panels laid out panel-major, each panel's 8 node
     terms summed by np.add.reduceat."""
     out = np.empty_like(start)
     for blk in row_blocks(start.size, _GL_NODES.size):
